@@ -43,7 +43,7 @@ from .graphs import (
 from .modarith import DegenerateSetError, divisors_gt1, reduce_set, reflexive_reduce, unit_group
 from .oracle import InvariantVector, OracleCapError, are_isomorphic, refine_invariants
 from .report import emit_census, parse_census_json, render_theta_table, theta_table_rows
-from .theta import ThetaMap, ThetaResult, apply_to_edges, jump_shortcut, theta_image, theta_perm
+from .theta import ThetaMap, ThetaResult, apply_to_edges, jump_shortcut, theta_image
 
 __all__ = [
     "AdamOrbit",
@@ -91,7 +91,6 @@ __all__ = [
     "same_adam_orbit",
     "scale_pair",
     "theta_image",
-    "theta_perm",
     "theta_table_rows",
     "type2_partners",
     "unit_group",

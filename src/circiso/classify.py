@@ -25,7 +25,7 @@ from .adam import adam_orbit
 from .graphs import ConnectionSet, build_edges, gcd_signature
 from .modarith import divisors_gt1
 from .oracle import are_isomorphic
-from .theta import jump_shortcut, theta_image
+from .theta import theta_image
 
 Probe = tuple[int, int]  # (m, t)
 Pair = tuple[ConnectionSet, ConnectionSet]  # lexicographically ordered
@@ -41,7 +41,6 @@ class ClassificationRecord:
     kind: str  # 'not-circulant' | 'self' | 'type1' | 'type2'
     image: Optional[ConnectionSet] = None
     unit: Optional[int] = None  # type1 witness: image = unit * source
-    diagnostic: Optional[str] = None  # shortcut/edge-level disagreement, if any
 
 
 @dataclass
@@ -90,53 +89,38 @@ def admissible_m(c: ConnectionSet) -> list[tuple[int, tuple[int, ...]]]:
 
 
 def classify_pair(c: ConnectionSet, m: int, t: int) -> ClassificationRecord:
-    """Classify one probe.  The shortcut rejects most non-circulant images
-    cheaply; a positive is always confirmed at edge level."""
-    if m not in {mm for mm, _ in admissible_m(c)}:
+    """Classify one probe; `theta_image` decides circulance from R alone."""
+    if m <= 1 or c.n % m or all(r % m for r in c.jumps):
         raise ValueError(f"m={m} does not divide gcd({c.n}, r) for any jump of {c}")
     if not 1 <= t <= c.n // m - 1:
         raise ValueError(f"shift t={t} out of range [1, {c.n // m - 1}]")
-    fast = jump_shortcut(c, m, t)
-    if fast.image is None:
+    s = theta_image(c, m, t).image
+    if s is None:
         return ClassificationRecord(c, m, t, "not-circulant")
-    full = theta_image(c, m, t)
-    diagnostic = None
-    if full.image != fast.image:
-        diagnostic = (
-            f"shortcut proposed {fast.image} but edge-level image is "
-            f"{full.image} for {c} under (m={m}, t={t})"
-        )
-    if full.image is None:
-        return ClassificationRecord(c, m, t, "not-circulant", diagnostic=diagnostic)
-    s = full.image
     if s == c:
-        return ClassificationRecord(c, m, t, "self", image=s, diagnostic=diagnostic)
+        return ClassificationRecord(c, m, t, "self", image=s)
     orbit = adam_orbit(c)
     if s in orbit.witness:
-        return ClassificationRecord(
-            c, m, t, "type1", image=s, unit=orbit.witness[s], diagnostic=diagnostic
-        )
-    return ClassificationRecord(c, m, t, "type2", image=s, diagnostic=diagnostic)
+        return ClassificationRecord(c, m, t, "type1", image=s, unit=orbit.witness[s])
+    return ClassificationRecord(c, m, t, "type2", image=s)
 
 
-def _probe_all(c: ConnectionSet):
-    """Yield classification records for every admissible (m, t) of c."""
-    for m, _ in admissible_m(c):
-        for t in range(1, c.n // m):
-            yield classify_pair(c, m, t)
+def probe_records(c: ConnectionSet, allow_small: bool = False) -> list[ClassificationRecord]:
+    """Records of every admissible probe (m, t) of c, in (m, t) order."""
+    if len(c.jumps) < 3 and not allow_small:
+        raise ValueError(f"{c} has fewer than 3 jumps (pass allow_small to probe anyway)")
+    return [classify_pair(c, m, t) for m, _ in admissible_m(c) for t in range(1, c.n // m)]
 
 
 def type2_partners(
     c: ConnectionSet, allow_small: bool = False
 ) -> list[tuple[ConnectionSet, int, int]]:
     """All (S, m, t) with a type2 verdict, every witness included, sorted."""
-    if len(c.jumps) < 3 and not allow_small:
-        raise ValueError(f"{c} has fewer than 3 jumps (pass allow_small to probe anyway)")
-    out = [
-        (rec.image, rec.m, rec.t)
-        for rec in _probe_all(c)
-        if rec.kind == "type2"
-    ]
+    return _type2_evidence(probe_records(c, allow_small=allow_small))
+
+
+def _type2_evidence(records) -> list[tuple[ConnectionSet, int, int]]:
+    out = [(rec.image, rec.m, rec.t) for rec in records if rec.kind == "type2"]
     out.sort(key=lambda item: (item[0].jumps, item[1], item[2]))
     return out
 
@@ -147,7 +131,12 @@ def ci_theta_status(c: ConnectionSet, allow_small: bool = False) -> CIStatus:
     This matches the probe-based evidence standard: only residue-shift
     images are examined, not arbitrary isomorphisms.
     """
-    partners = type2_partners(c, allow_small=allow_small)
+    return ci_status_of_records(c, probe_records(c, allow_small=allow_small))
+
+
+def ci_status_of_records(c: ConnectionSet, records) -> CIStatus:
+    """The `ci_theta_status` verdict from already computed probe records."""
+    partners = _type2_evidence(records)
     if partners:
         return CIStatus(graph=c, verdict="non-ci", evidence=tuple(partners))
     return CIStatus(graph=c, verdict="ci-theta")
@@ -158,23 +147,20 @@ def _connection_sets(n: int, size: int):
         yield ConnectionSet(n, combo)
 
 
-def _census_rows(n: int, sizes) -> tuple[list, list]:
-    """Serial census kernel: (pair, m, t) discoveries plus diagnostics."""
+def _census_rows(n: int, sizes) -> list:
+    """Serial census kernel: (pair, m, t) discoveries."""
     rows = []
-    diagnostics = []
     for size in sizes:
         for c in _connection_sets(n, size):
-            for rec in _probe_all(c):
-                if rec.diagnostic:
-                    diagnostics.append(rec.diagnostic)
+            for rec in probe_records(c, allow_small=True):
                 if rec.kind != "type2":
                     continue
                 pair = (c, rec.image) if c < rec.image else (rec.image, c)
                 rows.append((pair, rec.m, rec.t))
-    return rows, diagnostics
+    return rows
 
 
-def _census_chunk(args) -> tuple[list, list]:
+def _census_chunk(args) -> list:
     """Worker entry point for --jobs > 1 (must stay picklable)."""
     n, size = args
     return _census_rows(n, [size])
@@ -200,6 +186,8 @@ def enumerate_type2(
         raise ValueError("size_min below 3 requires allow_small")
     if not 1 <= size_min <= size_max <= n // 2:
         raise ValueError(f"bad size range [{size_min}, {size_max}] for order {n}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
     sizes = list(range(size_min, size_max + 1))
     if jobs > 1:
@@ -207,10 +195,9 @@ def enumerate_type2(
 
         with multiprocessing.Pool(jobs) as pool:
             chunks = pool.map(_census_chunk, [(n, size) for size in sizes])
-        rows = [row for chunk, _ in chunks for row in chunk]
-        diagnostics = [d for _, diags in chunks for d in diags]
+        rows = [row for chunk in chunks for row in chunk]
     else:
-        rows, diagnostics = _census_rows(n, sizes)
+        rows = _census_rows(n, sizes)
 
     witnesses: dict[Pair, set[Probe]] = {}
     for pair, m, t in rows:
@@ -226,7 +213,6 @@ def enumerate_type2(
         pairs=pairs,
         witnesses={p: tuple(sorted(witnesses[p])) for p in pairs},
         counts=counts,
-        diagnostics=tuple(sorted(set(diagnostics))),
     )
 
 

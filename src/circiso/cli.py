@@ -74,20 +74,13 @@ def _classify_one(c: ConnectionSet, args) -> None:
     if args.m is not None and args.t is not None:
         rec = classify_mod.classify_pair(c, args.m, args.t)
         print(f"{c}: {_describe(rec)}")
-        if rec.diagnostic:
-            print(f"  diagnostic: {rec.diagnostic}")
         return
-    status = classify_mod.ci_theta_status(c, allow_small=args.allow_small_sets)
-    records = [
-        rec
-        for m, _ in classify_mod.admissible_m(c)
-        for t in range(1, c.n // m)
-        for rec in [classify_mod.classify_pair(c, m, t)]
-        if rec.kind != "not-circulant"
-    ]
+    records = classify_mod.probe_records(c, allow_small=args.allow_small_sets)
+    status = classify_mod.ci_status_of_records(c, records)
     print(f"{c}: {status.verdict}")
     for rec in records:
-        print(f"  {_describe(rec)}")
+        if rec.kind != "not-circulant":
+            print(f"  {_describe(rec)}")
 
 
 def _cmd_classify(args) -> int:

@@ -106,45 +106,19 @@ def build_edges(c: ConnectionSet) -> EdgeSet:
     return EdgeSet(n, frozenset(pairs))
 
 
-def _pairs_of(c: ConnectionSet) -> frozenset[tuple[int, int]]:
-    """Edge pairs of C_n(R) without the EdgeSet wrapper (hot-path helper)."""
-    n = c.n
-    pairs = set()
-    for r in c.jumps:
-        for x in range(n):
-            y = (x + r) % n
-            pairs.add((x, y) if x < y else (y, x))
-    return frozenset(pairs)
-
-
-def _detect_circulant_pairs(n: int, pairs: frozenset[tuple[int, int]]):
-    """detect_circulant on a raw pair set; returns ConnectionSet or None."""
-    if not pairs:
-        return None
-    zero_nbrs = [v if u == 0 else u for u, v in pairs if u == 0 or v == 0]
-    if not zero_nbrs:
-        return None
-    candidate = ConnectionSet.reduce(n, zero_nbrs)
-    if _pairs_of(candidate) != pairs:
-        return None
-    # Reconstruction equality already implies rotation invariance; check it
-    # anyway so a bug in either path cannot slip through silently.
-    for u, v in pairs:
-        a, b = (u + 1) % n, (v + 1) % n
-        if ((a, b) if a < b else (b, a)) not in pairs:
-            return None
-    return candidate
-
-
 def detect_circulant(n: int, e: EdgeSet):
     """Return the ConnectionSet S with build_edges(S) == e, or None.
 
-    An edge set is circulant exactly when it is invariant under the rotation
-    x -> x+1 and rebuilding from the neighbours of vertex 0 reproduces it.
+    The candidate is read off the neighbours of vertex 0.  Equality with the
+    circulant rebuilt from it already implies rotation invariance.
     """
     if e.n != n:
         raise ValueError(f"edge set order {e.n} does not match {n}")
-    return _detect_circulant_pairs(n, e.edges)
+    zero_nbrs = [v for u, v in e.edges if u == 0]
+    if not zero_nbrs:
+        return None
+    candidate = ConnectionSet.reduce(n, zero_nbrs)
+    return candidate if build_edges(candidate).edges == e.edges else None
 
 
 def cycle_structure(n: int, r: int) -> CycleStructure:

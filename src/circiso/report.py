@@ -18,7 +18,7 @@ from typing import Optional
 from .adam import adam_orbit
 from .classify import PairCensus
 from .graphs import ConnectionSet
-from .theta import jump_shortcut, theta_image
+from .theta import theta_image
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["n", "left", "right", "m_witnesses", "t_witnesses", "oracle_confirmed"]
@@ -145,26 +145,22 @@ class ThetaTableRow:
 def theta_table_rows(c: ConnectionSet, m: int) -> list[ThetaTableRow]:
     """Elementwise images of the symmetric jump set for t = 1 .. n/m - 1.
 
-    A row is a 'Yes' (self/type1/type2) when the image set is closed under
-    negation; the annotation comes from the edge-level classification.
+    The verdict of each row comes from `theta_image`; a 'Yes' row
+    (self/type1/type2) is one whose image graph is circulant.
     """
     sym = c.symmetric_jumps()
     orbit = adam_orbit(c)
     rows = []
     for t in range(1, c.n // m):
-        fast = jump_shortcut(c, m, t)
-        images = tuple(fast.map.apply(s) for s in sym)
-        if fast.image is None:
+        res = theta_image(c, m, t)
+        images = tuple(res.map.apply(s) for s in sym)
+        if res.image is None:
             rows.append(ThetaTableRow(t=t, images=images, verdict="not"))
-            continue
-        full = theta_image(c, m, t).image
-        if full is None:
-            rows.append(ThetaTableRow(t=t, images=images, verdict="not"))
-        elif full == c:
+        elif res.image == c:
             rows.append(ThetaTableRow(t=t, images=images, verdict="self"))
-        elif full in orbit.witness:
+        elif res.image in orbit.witness:
             rows.append(
-                ThetaTableRow(t=t, images=images, verdict="type1", unit=orbit.witness[full])
+                ThetaTableRow(t=t, images=images, verdict="type1", unit=orbit.witness[res.image])
             )
         else:
             rows.append(ThetaTableRow(t=t, images=images, verdict="type2"))

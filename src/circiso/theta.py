@@ -7,12 +7,13 @@ graph it sometimes lands on another circulant graph; when that image lies
 outside the source's multiplier orbit the two graphs witness a Type-2
 isomorphism.
 
-The edge-level image is the single source of truth for circulant-ness.
-The elementwise shortcut on the symmetric jump set is a fast pre-filter:
-its failure is conclusive (the image of the symmetric jump set is exactly
-the neighbourhood of vertex 0 in the image graph, which must be closed
-under negation for any circulant graph), but its success is only confirmed
-for m = 2, so positives are re-checked at edge level.
+`theta_image` is the single circulance test.  It decides a probe from the
+jump set alone in O(|R|), by the closed form proved in its docstring.  The
+edge-level `apply_to_edges` and `graphs.detect_circulant` stay as the
+definition the closed form is tested against.  `jump_shortcut` (circulant
+iff the elementwise image of the symmetric jump set is closed under
+negation) is kept for comparison; its negatives are conclusive, but it is
+exact only for m = 2.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import ConnectionSet, EdgeSet, _detect_circulant_pairs, _pairs_of
+from .graphs import ConnectionSet, EdgeSet
 from .modarith import reduce_set
 
 
@@ -63,32 +64,41 @@ class ThetaResult:
         return self.image is not None
 
 
-def theta_perm(n: int, m: int, t: int) -> ThetaMap:
-    """Validated residue-shift map; t = 0 gives the identity."""
-    return ThetaMap(n, m, t)
-
-
-def _image_pairs(tm: ThetaMap, pairs) -> frozenset[tuple[int, int]]:
-    perm = tm.perm()
-    out = set()
-    for u, v in pairs:
-        a, b = perm[u], perm[v]
-        out.add((a, b) if a < b else (b, a))
-    return frozenset(out)
-
-
 def apply_to_edges(tm: ThetaMap, e: EdgeSet) -> EdgeSet:
     """Push every edge through the vertex bijection (edge count is preserved)."""
     if e.n != tm.n:
         raise ValueError(f"edge set order {e.n} does not match map order {tm.n}")
-    return EdgeSet(tm.n, _image_pairs(tm, e.edges))
+    perm = tm.perm()
+    out = set()
+    for u, v in e.edges:
+        a, b = perm[u], perm[v]
+        out.add((a, b) if a < b else (b, a))
+    return EdgeSet(tm.n, frozenset(out))
 
 
 def theta_image(c: ConnectionSet, m: int, t: int) -> ThetaResult:
-    """Transform C_n(R) at edge level and test the image for circulant-ness."""
+    """Image of C_n(R) under the residue-shift map, decided from R alone.
+
+    Criterion: the image is circulant iff A = {s in +-R : m does not divide s}
+    is closed under s -> s + t*m^2 (mod n); it is then C_n(theta(+-R)),
+    with theta(s) = s + (s mod m)*t*m.
+
+    Proof.  theta keeps residues mod m and translates class i by i*t*m, so
+    a vertex y in class i has the neighbour offsets D_i = {theta(s) -
+    t*m^2*[i + (s mod m) >= m] : s in +-R} in the image.
+    The image is circulant iff D_i = D_0 for every i; splitting by residue
+    class k != 0 and taking i = m - k gives exactly the closure of A_k under
+    -t*m^2, which for a finite set is the same as closure under +t*m^2.
+    Jumps divisible by m are fixed, so they never break circulance.
+    """
     tm = ThetaMap(c.n, m, t)
-    image_pairs = _image_pairs(tm, _pairs_of(c))
-    return ThetaResult(source=c, map=tm, image=_detect_circulant_pairs(c.n, image_pairs))
+    n, shift = c.n, t * m
+    sym = [s for r in c.jumps for s in (r, n - r)]
+    moving = {s for s in sym if s % m}
+    if any((s + shift * m) % n not in moving for s in moving):
+        return ThetaResult(source=c, map=tm, image=None)
+    image = ConnectionSet.reduce(n, [(s + s % m * shift) % n for s in sym])
+    return ThetaResult(source=c, map=tm, image=image)
 
 
 def jump_shortcut(c: ConnectionSet, m: int, t: int) -> ThetaResult:
@@ -104,7 +114,7 @@ def jump_shortcut(c: ConnectionSet, m: int, t: int) -> ThetaResult:
 
 
 def shortcut_disagreement(c: ConnectionSet, m: int, t: int) -> Optional[str]:
-    """Diagnostic comparing the shortcut against the edge-level truth.
+    """Diagnostic comparing the shortcut against the exact `theta_image`.
 
     Returns a human-readable description when they disagree (possible only
     for m > 2 positives), else None.

@@ -10,10 +10,10 @@ from math import gcd
 
 from circiso import (
     ConnectionSet,
+    ThetaMap,
     adam_orbit,
     cycle_structure,
     enumerate_type2,
-    theta_perm,
 )
 from circiso.theta import jump_shortcut, theta_image
 
@@ -38,6 +38,15 @@ def theta_edge_image(n: int, m: int, t: int, edges) -> frozenset:
     """Image of an edge set under x -> x + (x mod m)*t*m (mod n)."""
     perm = [(x + (x % m) * t * m) % n for x in range(n)]
     return frozenset(frozenset(perm[v] for v in edge) for edge in edges)
+
+
+def edge_level_image(n: int, m: int, t: int, jumps):
+    """Jumps of the circulant that the shifted edge set of C_n(jumps) forms,
+    read off the neighbours of vertex 0, or None when it is not circulant."""
+    image = theta_edge_image(n, m, t, circulant_edge_set(n, jumps))
+    zero_nbrs = {v for edge in image if 0 in edge for v in edge if v != 0}
+    candidate = tuple(sorted({reflexive_jump(n, v) for v in zero_nbrs}))
+    return candidate if circulant_edge_set(n, candidate) == image else None
 
 
 def brute_unit_orbit(n: int, jumps) -> set[tuple[int, ...]]:
@@ -80,7 +89,7 @@ def theta_group_law(max_n: int = 48) -> list[str]:
             if n % m:
                 continue
             q = n // m
-            perms = [theta_perm(n, m, t).perm() for t in range(q)]
+            perms = [ThetaMap(n, m, t).perm() for t in range(q)]
             for t1 in range(q):
                 p1 = perms[t1]
                 for t2 in range(q):
@@ -131,8 +140,26 @@ def shortcut_agrees_with_edges(orders=(16, 24), max_size: int = 4) -> list[str]:
             for combo in itertools.combinations(range(1, n // 2 + 1), size):
                 c = ConnectionSet(n, combo)
                 for t in range(1, n // 2):
-                    if jump_shortcut(c, 2, t).image != theta_image(c, 2, t).image:
+                    fast = jump_shortcut(c, 2, t).image
+                    if (fast.jumps if fast else None) != edge_level_image(n, 2, t, combo):
                         bad.append(f"shortcut disagrees at n={n}, R={combo}, t={t}")
+    return bad
+
+
+def residue_kernel_agrees_with_edges(max_n: int = 20) -> list[str]:
+    """theta_image equals the edge-level image for every n <= max_n, every
+    jump set, every m > 1 dividing n and every t in [0, n/m - 1]."""
+    bad = []
+    for n in range(2, max_n + 1):
+        moduli = [m for m in range(2, n + 1) if n % m == 0]
+        for size in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                c = ConnectionSet(n, combo)
+                for m in moduli:
+                    for t in range(n // m):
+                        image = theta_image(c, m, t).image
+                        if (image.jumps if image else None) != edge_level_image(n, m, t, combo):
+                            bad.append(f"kernel disagrees at n={n}, R={combo}, m={m}, t={t}")
     return bad
 
 

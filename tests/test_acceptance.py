@@ -35,6 +35,7 @@ from suites import (
     cycle_structure_vs_trace,
     jump2_triple_necessity,
     orbit_symmetry,
+    residue_kernel_agrees_with_edges,
     shortcut_agrees_with_edges,
     theta_group_law,
     type2_pair_violations,
@@ -186,6 +187,7 @@ def test_criterion_8_property_suites():
     failures += theta_group_law(48)
     failures += cycle_structure_vs_trace(40)
     failures += shortcut_agrees_with_edges((16, 24), 4)
+    failures += residue_kernel_agrees_with_edges(20)
     failures += orbit_symmetry((16, 24))
     failures += jump2_triple_necessity((16, 24, 32, 40))
     elapsed = time.monotonic() - start

@@ -112,6 +112,19 @@ def test_enumerate_jobs_flag_is_deterministic(capsys):
     assert serial == parallel
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_enumerate_refuses_jobs_below_one(capsys, monkeypatch, jobs):
+    import multiprocessing
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, err = run_cli(capsys, "enumerate", "--n", "16", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert err == f"error: jobs must be at least 1, got {jobs}\n"
+
+
 def test_ci_census(capsys):
     code, out, _ = run_cli(capsys, "ci-census", "--n", "16", "--size", "3")
     assert code == 0

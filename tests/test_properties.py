@@ -11,6 +11,7 @@ from suites import (
     cycle_structure_vs_trace,
     jump2_triple_necessity,
     orbit_symmetry,
+    residue_kernel_agrees_with_edges,
     shortcut_agrees_with_edges,
     theta_group_law,
 )
@@ -26,6 +27,10 @@ def test_cycle_structure_vs_trace_up_to_40():
 
 def test_shortcut_agrees_with_edge_level_exhaustively():
     assert shortcut_agrees_with_edges((16, 24), 4) == []
+
+
+def test_residue_kernel_agrees_with_edge_level_up_to_20():
+    assert residue_kernel_agrees_with_edges(20) == []
 
 
 def test_orbit_symmetry_exhaustive_triples():

@@ -7,17 +7,16 @@ from circiso.theta import (
     jump_shortcut,
     shortcut_disagreement,
     theta_image,
-    theta_perm,
 )
 
 
 def test_theta_perm_identity_at_t_zero():
     for n, m in [(16, 2), (24, 3), (12, 4)]:
-        assert theta_perm(n, m, 0).perm() == tuple(range(n))
+        assert ThetaMap(n, m, 0).perm() == tuple(range(n))
 
 
 def test_theta_perm_16_2_2():
-    tm = theta_perm(16, 2, 2)
+    tm = ThetaMap(16, 2, 2)
     for x in range(0, 16, 2):
         assert tm.apply(x) == x
     for x in range(1, 16, 2):
@@ -25,7 +24,7 @@ def test_theta_perm_16_2_2():
 
 
 def test_theta_perm_24_2_3_is_bijection():
-    tm = theta_perm(24, 2, 3)
+    tm = ThetaMap(24, 2, 3)
     assert tm.apply(1) == 7
     assert sorted(tm.perm()) == list(range(24))
 
@@ -33,7 +32,7 @@ def test_theta_perm_24_2_3_is_bijection():
 def test_theta_perm_fixes_zero_and_residue_class():
     for n, m in [(16, 2), (24, 2), (24, 3), (24, 4), (48, 6), (27, 3)]:
         for t in range(n // m):
-            tm = theta_perm(n, m, t)
+            tm = ThetaMap(n, m, t)
             assert tm.apply(0) == 0
             for x in range(n):
                 assert tm.apply(x) % m == x % m
@@ -50,7 +49,7 @@ def test_theta_perm_fixes_zero_and_residue_class():
 )
 def test_theta_perm_rejects_bad_parameters(n, m, t):
     with pytest.raises(ValueError):
-        theta_perm(n, m, t)
+        ThetaMap(n, m, t)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +94,7 @@ def test_edge_count_conserved():
             if n % m:
                 continue
             for t in range(n // m):
-                image = apply_to_edges(theta_perm(n, m, t), edges)
+                image = apply_to_edges(ThetaMap(n, m, t), edges)
                 assert len(image.edges) == len(edges.edges)
 
 
