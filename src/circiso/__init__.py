@@ -41,7 +41,7 @@ from .graphs import (
     parse_connection_sets,
 )
 from .modarith import DegenerateSetError, divisors_gt1, reduce_set, reflexive_reduce, unit_group
-from .oracle import InvariantVector, OracleCapError, are_isomorphic, refine_invariants
+from .oracle import OracleCapError, are_isomorphic
 from .report import emit_census, parse_census_json, render_theta_table, theta_table_rows
 from .theta import ThetaMap, ThetaResult, apply_to_edges, jump_shortcut, theta_image
 
@@ -54,7 +54,6 @@ __all__ = [
     "DegenerateSetError",
     "EdgeSet",
     "FamilyInstance",
-    "InvariantVector",
     "OracleCapError",
     "OrbitVerdict",
     "PairCensus",
@@ -86,7 +85,6 @@ __all__ = [
     "parse_connection_sets",
     "reduce_set",
     "reflexive_reduce",
-    "refine_invariants",
     "render_theta_table",
     "same_adam_orbit",
     "scale_pair",

@@ -132,8 +132,10 @@ def cycle_structure(n: int, r: int) -> CycleStructure:
 def gcd_signature(c: ConnectionSet) -> tuple[int, ...]:
     """The sorted multiset {gcd(n, r) : r in jumps}.
 
-    Isomorphic circulant graphs always carry equal signatures, so unequal
-    signatures certify non-isomorphism.
+    Only the CI census's bucketing key, not a certificate: nothing here
+    proves that isomorphic circulants carry equal signatures.  The test
+    suite checks that against the colour-refinement oracle on every pair
+    of same-size multiplier orbits at every order n <= 18.
     """
     return tuple(sorted(gcd(c.n, r) for r in c.jumps))
 

@@ -1,7 +1,7 @@
 """Exact graph-isomorphism decisions for small orders.
 
-Independent of the residue-shift machinery: verdicts come from invariant
-screening followed by complete backtracking search, so a True/False answer
+Independent of the residue-shift machinery: verdicts come from colour
+refinement followed by complete backtracking search, so a True/False answer
 is a proof, not a heuristic.  Orders above the cap are refused outright.
 
 The search individualises vertex 0 of the first graph against every
@@ -13,27 +13,15 @@ all previously mapped vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import EdgeSet, detect_circulant, gcd_signature
+from .graphs import EdgeSet
 
 DEFAULT_CAP = 32
 
 
 class OracleCapError(ValueError):
     """Raised instead of guessing when a graph exceeds the exact-search cap."""
-
-
-@dataclass(frozen=True)
-class InvariantVector:
-    """Cheap necessary conditions for isomorphism (exact integers only)."""
-
-    order: int
-    degrees: tuple[int, ...]
-    neighbor_degrees: tuple[tuple[int, ...], ...]
-    triangles: tuple[int, ...]
-    connection_signature: Optional[tuple[int, ...]]
 
 
 def _adjacency_masks(g: EdgeSet) -> list[int]:
@@ -44,28 +32,9 @@ def _adjacency_masks(g: EdgeSet) -> list[int]:
     return adj
 
 
-def refine_invariants(g: EdgeSet) -> InvariantVector:
-    """Degree, neighbour-degree and triangle profiles, plus the jump-gcd
-    signature when the edge set is circulant as labelled."""
-    adj = _adjacency_masks(g)
-    degrees = [mask.bit_count() for mask in adj]
-    neighbor_degrees = []
-    triangles = []
-    for v in range(g.n):
-        nbrs = [u for u in range(g.n) if adj[v] >> u & 1]
-        neighbor_degrees.append(tuple(sorted(degrees[u] for u in nbrs)))
-        triangles.append(sum((adj[v] & adj[u]).bit_count() for u in nbrs) // 2)
-    detected = detect_circulant(g.n, g)
-    return InvariantVector(
-        order=g.n,
-        degrees=tuple(sorted(degrees)),
-        neighbor_degrees=tuple(sorted(neighbor_degrees)),
-        triangles=tuple(sorted(triangles)),
-        connection_signature=gcd_signature(detected) if detected else None,
-    )
-
-
-def _initial_colors(adj: list[int]) -> list[tuple]:
+def refine_invariants(adj: list[int]) -> list[tuple]:
+    """Seed colour of every vertex of a graph given by adjacency bitmasks:
+    (degree, triangles through it, sorted neighbour degrees)."""
     degrees = [mask.bit_count() for mask in adj]
     colors = []
     for v in range(len(adj)):
@@ -89,8 +58,8 @@ def _refine_colors(adj1: list[int], adj2: list[int]) -> Optional[tuple[list[int]
             out.append(ids[sig])
         return out
 
-    c1 = assign(_initial_colors(adj1))
-    c2 = assign(_initial_colors(adj2))
+    c1 = assign(refine_invariants(adj1))
+    c2 = assign(refine_invariants(adj2))
     while True:
         if sorted(c1) != sorted(c2):
             return None
@@ -110,10 +79,17 @@ def _refine_colors(adj1: list[int], adj2: list[int]) -> Optional[tuple[list[int]
 
 
 def _search(n: int, adj1: list[int], adj2: list[int], domains: list[int]) -> bool:
-    """Complete DFS over mappings; domains[v] is a bitmask of allowed images."""
-    full = (1 << n) - 1
+    """Complete DFS over mappings; domains[v] is a non-empty bitmask of
+    allowed images, and every extension keeps all domains non-empty.
 
-    def dfs(cand: list[int], assigned: int) -> bool:
+    Iterative, so its depth is not bounded by the interpreter's recursion
+    limit.  Each stack frame is (domains, assigned, branching vertex,
+    untried images); images are tried one at a time in ascending order.
+    """
+    full = (1 << n) - 1
+    stack: list[tuple[list[int], int, int, int]] = []
+    cand, assigned = domains, 0
+    while True:
         if assigned == full:
             return True
         # smallest domain first, index as tie-break (vertex 0 starts the anchor loop)
@@ -126,17 +102,18 @@ def _search(n: int, adj1: list[int], adj2: list[int], domains: list[int]) -> boo
                 best_v, best_size = v, size
                 if size <= 1:
                     break
-        if best_size == 0:
-            return False
-        v = best_v
-        options = cand[v]
-        while options:
+        stack.append((cand, assigned, best_v, cand[best_v]))
+        # descend into the next untried image that leaves every domain non-empty
+        while stack:
+            cand, assigned, v, options = stack[-1]
+            if not options:
+                stack.pop()
+                continue
             w_bit = options & -options
-            options ^= w_bit
+            stack[-1] = (cand, assigned, v, options ^ w_bit)
             w = w_bit.bit_length() - 1
             nxt = list(cand)
             nxt[v] = w_bit
-            ok = True
             for u in range(n):
                 if assigned >> u & 1 or u == v:
                     continue
@@ -145,14 +122,13 @@ def _search(n: int, adj1: list[int], adj2: list[int], domains: list[int]) -> boo
                 else:
                     reduced = nxt[u] & ~adj2[w] & ~w_bit
                 if reduced == 0:
-                    ok = False
                     break
                 nxt[u] = reduced
-            if ok and dfs(nxt, assigned | 1 << v):
-                return True
-        return False
-
-    return dfs(domains, 0)
+            else:
+                cand, assigned = nxt, assigned | 1 << v
+                break
+        else:
+            return False
 
 
 def are_isomorphic(g1: EdgeSet, g2: EdgeSet, cap: int = DEFAULT_CAP) -> bool:
@@ -167,24 +143,6 @@ def are_isomorphic(g1: EdgeSet, g2: EdgeSet, cap: int = DEFAULT_CAP) -> bool:
     if n == 0 or not g1.edges:
         return True
     adj1, adj2 = _adjacency_masks(g1), _adjacency_masks(g2)
-
-    inv1, inv2 = refine_invariants(g1), refine_invariants(g2)
-    if (inv1.order, inv1.degrees, inv1.neighbor_degrees, inv1.triangles) != (
-        inv2.order,
-        inv2.degrees,
-        inv2.neighbor_degrees,
-        inv2.triangles,
-    ):
-        return False
-    # Jump-gcd signatures are comparable only when both edge sets are
-    # circulant as labelled (a relabelled circulant loses the rotation).
-    if (
-        inv1.connection_signature is not None
-        and inv2.connection_signature is not None
-        and inv1.connection_signature != inv2.connection_signature
-    ):
-        return False
-
     refined = _refine_colors(adj1, adj2)
     if refined is None:
         return False

@@ -59,10 +59,6 @@ class ThetaResult:
     map: ThetaMap
     image: Optional[ConnectionSet]
 
-    @property
-    def is_circulant(self) -> bool:
-        return self.image is not None
-
 
 def apply_to_edges(tm: ThetaMap, e: EdgeSet) -> EdgeSet:
     """Push every edge through the vertex bijection (edge count is preserved)."""

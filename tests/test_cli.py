@@ -155,6 +155,15 @@ def test_verify_pair(capsys):
     assert "not isomorphic" in out
 
 
+def test_verify_above_recursion_limit_with_raised_cap(capsys):
+    # the search maps one vertex per level, so order 1200 is 1200 levels deep
+    code, out, _ = run_cli(
+        capsys, "verify", "--n", "1200", "--left", "1,2", "--right", "7,14", "--oracle-cap", "2000"
+    )
+    assert code == 0
+    assert "isomorphic: yes" in out
+
+
 def test_scale(capsys):
     code, out, _ = run_cli(capsys, "scale", "--n", "16", "--left", "1,2,7", "--right", "2,3,5", "--k", "2")
     assert code == 0 and out.strip() == "C_32(2,4,14), C_32(4,6,10)"

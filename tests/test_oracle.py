@@ -5,33 +5,28 @@ import pytest
 
 from circiso.adam import multiply_set
 from circiso.graphs import ConnectionSet, EdgeSet, build_edges
-from circiso.oracle import OracleCapError, are_isomorphic, refine_invariants
+from circiso.oracle import OracleCapError, _adjacency_masks, are_isomorphic, refine_invariants
 
 
 def _edges(n, jumps):
     return build_edges(ConnectionSet(n, jumps))
 
 
+def _seed_colors(g):
+    """Sorted seed colours (degree, triangles, neighbour degrees) of g."""
+    return sorted(refine_invariants(_adjacency_masks(g)))
+
+
 def test_invariants_equal_for_isomorphic_pairs():
-    assert refine_invariants(_edges(16, (1, 2, 7))) == refine_invariants(_edges(16, (2, 3, 5)))
-    assert refine_invariants(_edges(24, (1, 2, 3))) == refine_invariants(_edges(24, (2, 9, 11)))
+    assert _seed_colors(_edges(16, (1, 2, 7))) == _seed_colors(_edges(16, (2, 3, 5)))
+    assert _seed_colors(_edges(24, (1, 2, 3))) == _seed_colors(_edges(24, (2, 9, 11)))
 
 
 def test_invariants_distinguish_degrees():
-    a = refine_invariants(_edges(8, (1,)))
-    b = refine_invariants(_edges(8, (1, 2)))
+    a = _seed_colors(_edges(8, (1,)))
+    b = _seed_colors(_edges(8, (1, 2)))
     assert a != b
-    assert a.degrees == (2,) * 8 and b.degrees == (4,) * 8
-
-
-def test_invariants_include_signature_for_circulant_layouts():
-    inv = refine_invariants(_edges(24, (1, 2, 11)))
-    assert inv.connection_signature == (1, 1, 2)
-    # a relabelled circulant is no longer rotation-invariant, so no signature
-    scrambled = {(min((3 * u) % 7, (3 * v) % 7), max((3 * u) % 7, (3 * v) % 7))
-                 for u, v in _edges(7, (1,)).edges}
-    inv2 = refine_invariants(EdgeSet(7, frozenset(scrambled)))
-    assert inv2.degrees == (2,) * 7
+    assert [c[0] for c in a] == [2] * 8 and [c[0] for c in b] == [4] * 8
 
 
 @pytest.mark.parametrize(
@@ -109,7 +104,7 @@ def test_iso_implies_equal_invariants():
     for n, a, b in samples:
         ga, gb = _edges(n, a), _edges(n, b)
         assert are_isomorphic(ga, gb)
-        assert refine_invariants(ga) == refine_invariants(gb)
+        assert _seed_colors(ga) == _seed_colors(gb)
 
 
 def test_unit_multiples_always_isomorphic():

@@ -42,8 +42,25 @@ def test_jump2_triple_necessity_conditions():
 
 
 def test_unequal_signature_implies_non_isomorphic_samples():
+    # The oracle never looks at signatures, so this backs the CI census's
+    # bucketing key: every pair of same-size multiplier orbits at n <= 18
+    # (4,240 pairs with unequal signatures), then random samples above.
+    checked = 0
+    for n in range(1, 19):
+        for size in range(1, n // 2 + 1):
+            reps = sorted(
+                {
+                    adam_orbit(ConnectionSet(n, combo)).canonical()
+                    for combo in itertools.combinations(range(1, n // 2 + 1), size)
+                }
+            )
+            for a, b in itertools.combinations(reps, 2):
+                if gcd_signature(a) != gcd_signature(b):
+                    assert not are_isomorphic(build_edges(a), build_edges(b)), (a, b)
+                    checked += 1
+    assert checked == 4240
     rng = random.Random(7)
-    for n in (12, 16, 20, 24):
+    for n in (20, 24):
         pool = list(itertools.combinations(range(1, n // 2 + 1), 3))
         for _ in range(30):
             a = ConnectionSet(n, rng.choice(pool))
