@@ -9,6 +9,7 @@ the orbit of the other, and orbit membership is symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .graphs import ConnectionSet
@@ -40,11 +41,14 @@ def multiply_set(c: ConnectionSet, x: int) -> ConnectionSet:
     return out
 
 
+@lru_cache(maxsize=1)
 def adam_orbit(c: ConnectionSet) -> AdamOrbit:
     """All images of c under unit multiplication, deduplicated and sorted.
 
     x and n - x produce the same reduced set, so only units up to n/2 are
-    scanned.
+    scanned.  The last orbit built is memoised, so consecutive probes of
+    one set share it; the result is shared, and callers must not mutate
+    its `witness` dict.
     """
     witness: dict[ConnectionSet, int] = {}
     for x in range(1, c.n // 2 + 1):

@@ -88,10 +88,15 @@ def admissible_m(c: ConnectionSet) -> list[tuple[int, tuple[int, ...]]]:
     return [(m, tuple(by_m[m])) for m in sorted(by_m)]
 
 
-def classify_pair(c: ConnectionSet, m: int, t: int) -> ClassificationRecord:
-    """Classify one probe; `theta_image` decides circulance from R alone."""
+def require_admissible_m(c: ConnectionSet, m: int) -> None:
+    """Refuse an m that is not > 1 or divides gcd(n, r) for no jump r."""
     if m <= 1 or c.n % m or all(r % m for r in c.jumps):
         raise ValueError(f"m={m} does not divide gcd({c.n}, r) for any jump of {c}")
+
+
+def classify_pair(c: ConnectionSet, m: int, t: int) -> ClassificationRecord:
+    """Classify one probe; `theta_image` decides circulance from R alone."""
+    require_admissible_m(c, m)
     if not 1 <= t <= c.n // m - 1:
         raise ValueError(f"shift t={t} out of range [1, {c.n // m - 1}]")
     s = theta_image(c, m, t).image
@@ -242,8 +247,13 @@ def ci_full_census(
     every order n <= 18.  An orbit is CI exactly when no other orbit is
     isomorphic to it.  When a mapping of expected verdicts (jump tuple ->
     True for CI) is supplied, disagreements are reported on the verdict
-    rows as anomalies -- never raised.
+    rows as anomalies -- never raised.  Orders below 2 and sizes outside
+    [1, n/2] are refused.
     """
+    if n < 2:
+        raise ValueError(f"order must be >= 2, got {n}")
+    if not 1 <= size <= n // 2:
+        raise ValueError(f"size {size} out of range [1, {n // 2}] for order {n}")
     if n > oracle_cap:
         raise ValueError(f"order {n} exceeds the oracle cap {oracle_cap}")
     orbits: dict[ConnectionSet, list[ConnectionSet]] = {}

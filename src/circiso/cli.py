@@ -4,7 +4,8 @@ Subcommands: reduce, orbit, theta, theta-table, classify, enumerate,
 ci-census, family, verify, scale.  Jump sets are given as comma-separated
 literals (`--set 1,2,7`) with the order supplied by `--n`; files use the
 shared `n: r1,r2,...` line format.  All output is deterministic; census
-output ordering is independent of `--jobs`.
+output ordering is independent of `--jobs`.  Every refusal is a
+`ValueError`, which `main` prints as `error: ...` with exit status 2.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from . import classify as classify_mod
 from . import families, report
 from .adam import adam_orbit, same_adam_orbit
 from .graphs import ConnectionSet, build_edges, parse_connection_sets
-from .modarith import DegenerateSetError
-from .oracle import DEFAULT_CAP, OracleCapError, are_isomorphic
+from .oracle import DEFAULT_CAP, are_isomorphic
 from .theta import theta_image
 
 
@@ -26,8 +26,8 @@ def _parse_set(n: int, literal: str) -> ConnectionSet:
     try:
         values = [int(v.strip()) for v in literal.split(",") if v.strip()]
         return ConnectionSet.reduce(n, values)
-    except (ValueError, DegenerateSetError) as exc:
-        raise SystemExit(f"error: bad set literal {literal!r}: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"bad set literal {literal!r}: {exc}") from exc
 
 
 def _cmd_reduce(args) -> int:
@@ -71,7 +71,7 @@ def _describe(rec: classify_mod.ClassificationRecord) -> str:
 
 
 def _classify_one(c: ConnectionSet, args) -> None:
-    if args.m is not None and args.t is not None:
+    if args.m is not None:
         rec = classify_mod.classify_pair(c, args.m, args.t)
         print(f"{c}: {_describe(rec)}")
         return
@@ -84,15 +84,17 @@ def _classify_one(c: ConnectionSet, args) -> None:
 
 
 def _cmd_classify(args) -> int:
+    if (args.m is None) != (args.t is None):
+        raise ValueError("classify needs --m and --t together")
     if args.file:
         text = Path(args.file).read_text()
         for c in parse_connection_sets(text):
             _classify_one(c, args)
         return 0
     if not args.set:
-        raise SystemExit("error: classify needs --set or --file")
+        raise ValueError("classify needs --set or --file")
     if args.n is None:
-        raise SystemExit("error: --set needs --n")
+        raise ValueError("--set needs --n")
     _classify_one(_parse_set(args.n, args.set), args)
     return 0
 
@@ -127,10 +129,7 @@ def _cmd_ci_census(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    try:
-        fi = families.generate(args.kind, args.n, s=args.s)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    fi = families.generate(args.kind, args.n, s=args.s)
     print(f"{args.kind} family at order {fi.order} (m={fi.m}), shifts t={list(fi.expected_t)}")
     for raw, cs in zip(fi.raw_sets, fi.sets):
         print(f"  {cs}  (from {','.join(map(str, raw))})")
@@ -150,10 +149,7 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     left = _parse_set(args.n, args.left)
     right = _parse_set(args.n, args.right)
-    try:
-        iso = are_isomorphic(build_edges(left), build_edges(right), cap=args.oracle_cap)
-    except OracleCapError as exc:
-        raise SystemExit(f"error: {exc}")
+    iso = are_isomorphic(build_edges(left), build_edges(right), cap=args.oracle_cap)
     adam = same_adam_orbit(left, right)
     print(f"isomorphic: {'yes' if iso else 'no'}")
     print(f"same multiplier orbit: {'yes' if adam else 'no'}")
@@ -169,10 +165,7 @@ def _cmd_verify(args) -> int:
 def _cmd_scale(args) -> int:
     left = _parse_set(args.n, args.left)
     right = _parse_set(args.n, args.right)
-    try:
-        new_left, new_right = families.scale_pair(left, right, args.k)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+    new_left, new_right = families.scale_pair(left, right, args.k)
     print(f"{new_left}, {new_right}")
     return 0
 
@@ -265,7 +258,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, DegenerateSetError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

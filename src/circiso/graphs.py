@@ -61,23 +61,6 @@ class EdgeSet:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"edge ({u}, {v}) invalid for order {self.n}")
 
-    def neighbors(self, x: int) -> tuple[int, ...]:
-        """Sorted neighbours of vertex x."""
-        out = set()
-        for u, v in self.edges:
-            if u == x:
-                out.add(v)
-            elif v == x:
-                out.add(u)
-        return tuple(sorted(out))
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        degs = [0] * self.n
-        for u, v in self.edges:
-            degs[u] += 1
-            degs[v] += 1
-        return tuple(degs)
-
 
 @dataclass(frozen=True)
 class CycleStructure:

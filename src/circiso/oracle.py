@@ -32,13 +32,25 @@ def _adjacency_masks(g: EdgeSet) -> list[int]:
     return adj
 
 
+def _neighbour_lists(adj: list[int]) -> list[list[int]]:
+    """Ascending neighbours of every vertex, read off the set bits of its mask."""
+    out = []
+    for mask in adj:
+        nbrs = []
+        while mask:
+            low = mask & -mask
+            nbrs.append(low.bit_length() - 1)
+            mask ^= low
+        out.append(nbrs)
+    return out
+
+
 def refine_invariants(adj: list[int]) -> list[tuple]:
     """Seed colour of every vertex of a graph given by adjacency bitmasks:
     (degree, triangles through it, sorted neighbour degrees)."""
     degrees = [mask.bit_count() for mask in adj]
     colors = []
-    for v in range(len(adj)):
-        nbrs = [u for u in range(len(adj)) if adj[v] >> u & 1]
+    for v, nbrs in enumerate(_neighbour_lists(adj)):
         tri = sum((adj[v] & adj[u]).bit_count() for u in nbrs) // 2
         colors.append((degrees[v], tri, tuple(sorted(degrees[u] for u in nbrs))))
     return colors
@@ -47,7 +59,6 @@ def refine_invariants(adj: list[int]) -> list[tuple]:
 def _refine_colors(adj1: list[int], adj2: list[int]) -> Optional[tuple[list[int], list[int]]]:
     """Simultaneous colour refinement with shared ids; None when the colour
     histograms of the two graphs diverge (certain non-isomorphism)."""
-    n = len(adj1)
     ids: dict[tuple, int] = {}
 
     def assign(raw: list[tuple]) -> list[int]:
@@ -58,21 +69,17 @@ def _refine_colors(adj1: list[int], adj2: list[int]) -> Optional[tuple[list[int]
             out.append(ids[sig])
         return out
 
+    def signatures(colors: list[int], nbrs: list[list[int]]) -> list[tuple]:
+        return [(colors[v], tuple(sorted(colors[u] for u in vn))) for v, vn in enumerate(nbrs)]
+
+    nbrs1, nbrs2 = _neighbour_lists(adj1), _neighbour_lists(adj2)
     c1 = assign(refine_invariants(adj1))
     c2 = assign(refine_invariants(adj2))
     while True:
         if sorted(c1) != sorted(c2):
             return None
-        raw1 = [
-            (c1[v], tuple(sorted(c1[u] for u in range(n) if adj1[v] >> u & 1)))
-            for v in range(n)
-        ]
-        raw2 = [
-            (c2[v], tuple(sorted(c2[u] for u in range(n) if adj2[v] >> u & 1)))
-            for v in range(n)
-        ]
         ids.clear()
-        new1, new2 = assign(raw1), assign(raw2)
+        new1, new2 = assign(signatures(c1, nbrs1)), assign(signatures(c2, nbrs2))
         if new1 == c1 and new2 == c2:
             return c1, c2
         c1, c2 = new1, new2

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
-from .adam import adam_orbit
-from .classify import PairCensus
+from .classify import PairCensus, classify_pair, require_admissible_m
 from .graphs import ConnectionSet
-from .theta import theta_image
+from .theta import ThetaMap
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["n", "left", "right", "m_witnesses", "t_witnesses", "oracle_confirmed"]
@@ -145,25 +144,20 @@ class ThetaTableRow:
 def theta_table_rows(c: ConnectionSet, m: int) -> list[ThetaTableRow]:
     """Elementwise images of the symmetric jump set for t = 1 .. n/m - 1.
 
-    The verdict of each row comes from `theta_image`; a 'Yes' row
-    (self/type1/type2) is one whose image graph is circulant.
+    Each row's verdict and Type-1 unit come from `classify_pair` (its
+    'not-circulant' reads 'not' here), so an m that divides gcd(n, r) for
+    no jump r is refused with `classify_pair`'s message.
     """
+    require_admissible_m(c, m)
     sym = c.symmetric_jumps()
-    orbit = adam_orbit(c)
     rows = []
     for t in range(1, c.n // m):
-        res = theta_image(c, m, t)
-        images = tuple(res.map.apply(s) for s in sym)
-        if res.image is None:
-            rows.append(ThetaTableRow(t=t, images=images, verdict="not"))
-        elif res.image == c:
-            rows.append(ThetaTableRow(t=t, images=images, verdict="self"))
-        elif res.image in orbit.witness:
-            rows.append(
-                ThetaTableRow(t=t, images=images, verdict="type1", unit=orbit.witness[res.image])
-            )
-        else:
-            rows.append(ThetaTableRow(t=t, images=images, verdict="type2"))
+        rec = classify_pair(c, m, t)
+        apply = ThetaMap(c.n, m, t).apply
+        verdict = "not" if rec.kind == "not-circulant" else rec.kind
+        rows.append(
+            ThetaTableRow(t=t, images=tuple(apply(s) for s in sym), verdict=verdict, unit=rec.unit)
+        )
     return rows
 
 

@@ -8,12 +8,16 @@ outside the source's multiplier orbit the two graphs witness a Type-2
 isomorphism.
 
 `theta_image` is the single circulance test.  It decides a probe from the
-jump set alone in O(|R|), by the closed form proved in its docstring.  The
-edge-level `apply_to_edges` and `graphs.detect_circulant` stay as the
-definition the closed form is tested against.  `jump_shortcut` (circulant
-iff the elementwise image of the symmetric jump set is closed under
-negation) is kept for comparison; its negatives are conclusive, but it is
-exact only for m = 2.
+jump set alone in O(|R|), by the closed form proved in its docstring, and
+`classify.classify_pair` is the single probe classifier built on it: shift
+tables and the CLI take their verdicts from there, so they refuse an m
+that divides gcd(n, r) for no jump r.  The edge-level `apply_to_edges` and
+`graphs.detect_circulant` stay as the definition the closed form is tested
+against.  `jump_shortcut` (circulant iff the elementwise image of the
+symmetric jump set is closed under negation; its negatives are conclusive,
+but it is exact only for m = 2) and `shortcut_disagreement` have no caller
+in the package: they survive only because the benchmark under `perfbench/`
+traces them.
 """
 
 from __future__ import annotations
@@ -55,8 +59,6 @@ class ThetaMap:
 class ThetaResult:
     """Outcome of transforming one circulant graph: its image set, or None."""
 
-    source: ConnectionSet
-    map: ThetaMap
     image: Optional[ConnectionSet]
 
 
@@ -87,14 +89,13 @@ def theta_image(c: ConnectionSet, m: int, t: int) -> ThetaResult:
     -t*m^2, which for a finite set is the same as closure under +t*m^2.
     Jumps divisible by m are fixed, so they never break circulance.
     """
-    tm = ThetaMap(c.n, m, t)
+    ThetaMap(c.n, m, t)  # validates m and t
     n, shift = c.n, t * m
     sym = [s for r in c.jumps for s in (r, n - r)]
     moving = {s for s in sym if s % m}
     if any((s + shift * m) % n not in moving for s in moving):
-        return ThetaResult(source=c, map=tm, image=None)
-    image = ConnectionSet.reduce(n, [(s + s % m * shift) % n for s in sym])
-    return ThetaResult(source=c, map=tm, image=image)
+        return ThetaResult(image=None)
+    return ThetaResult(image=ConnectionSet.reduce(n, [(s + s % m * shift) % n for s in sym]))
 
 
 def jump_shortcut(c: ConnectionSet, m: int, t: int) -> ThetaResult:
@@ -104,9 +105,8 @@ def jump_shortcut(c: ConnectionSet, m: int, t: int) -> ThetaResult:
     sym = c.symmetric_jumps()
     image = {tm.apply(s) for s in sym}
     if any((c.n - s) % c.n not in image for s in image):
-        return ThetaResult(source=c, map=tm, image=None)
-    reduced = ConnectionSet(c.n, reduce_set(c.n, image))
-    return ThetaResult(source=c, map=tm, image=reduced)
+        return ThetaResult(image=None)
+    return ThetaResult(image=ConnectionSet(c.n, reduce_set(c.n, image)))
 
 
 def shortcut_disagreement(c: ConnectionSet, m: int, t: int) -> Optional[str]:

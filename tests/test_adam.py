@@ -5,6 +5,7 @@ import pytest
 
 from circiso.adam import adam_orbit, multiply_set, same_adam_orbit
 from circiso.graphs import ConnectionSet
+from suites import brute_unit_orbit
 
 
 @pytest.mark.parametrize(
@@ -103,3 +104,17 @@ def test_orbits_partition_triples_of_order_16():
     assert sum(len(v) for v in seen.values()) == len(triples)
     for rep, block in seen.items():
         assert set(adam_orbit(rep).members) == block
+
+
+def test_interleaved_orbits_match_brute_force():
+    # the same jumps at two orders, repeats and alternations: each call must
+    # answer for its own argument even though the last orbit is memoised
+    sets = [(16, (1, 2, 3)), (24, (1, 2, 3)), (24, (1, 2, 3)), (16, (1, 6, 7)),
+            (24, (1, 2, 3)), (16, (1, 2, 3)), (16, (1, 6, 7)), (20, (1, 4, 5))]
+    for n, jumps in sets:
+        c = ConnectionSet(n, jumps)
+        orbit = adam_orbit(c)
+        assert orbit.base == c
+        assert {m.jumps for m in orbit.members} == brute_unit_orbit(n, jumps)
+        for member, x in orbit.witness.items():
+            assert multiply_set(c, x) == member

@@ -170,8 +170,62 @@ def test_scale(capsys):
 
 
 def test_bad_set_literal_exits_nonzero(capsys):
-    with pytest.raises(SystemExit):
-        main(["reduce", "--n", "16", "--set", "spam"])
+    code, out, err = run_cli(capsys, "reduce", "--n", "16", "--set", "spam")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad set literal 'spam': ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--n", "16"], "classify needs --set or --file"),
+        (["family", "--kind", "m3", "--n", "0"], "parameter n must be >= 1, got 0"),
+        (
+            ["verify", "--n", "40", "--left", "1,2", "--right", "1,3"],
+            "order 40 exceeds the exact-search cap 32",
+        ),
+        (
+            ["scale", "--n", "16", "--left", "1,2,7", "--right", "2,3,5", "--k", "1"],
+            "scale factor must be >= 2, got 1",
+        ),
+    ],
+)
+def test_refusals_exit_two_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("probe", [["--m", "2"], ["--t", "1"]])
+def test_classify_refuses_half_a_probe(capsys, probe):
+    code, out, err = run_cli(capsys, "classify", "--n", "16", "--set", "1,6,7", *probe)
+    assert code == 2 and out == ""
+    assert err == "error: classify needs --m and --t together\n"
+
+
+@pytest.mark.parametrize(
+    "n, size, message",
+    [
+        ("1", "1", "order must be >= 2, got 1"),
+        ("16", "-1", "size -1 out of range [1, 8] for order 16"),
+        ("16", "0", "size 0 out of range [1, 8] for order 16"),
+        ("16", "9", "size 9 out of range [1, 8] for order 16"),
+    ],
+)
+def test_ci_census_refuses_bad_order_or_size(capsys, n, size, message):
+    code, out, err = run_cli(capsys, "ci-census", "--n", n, "--size", size)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "m, jumps",
+    [("0", "1,2,3"), ("-2", "1,2,3"), ("24", "1,2,3"), ("3", "1,2,4")],
+)
+def test_theta_table_refuses_inadmissible_m(capsys, m, jumps):
+    code, out, err = run_cli(capsys, "theta-table", "--n", "24", "--m", m, "--set", jumps)
+    assert code == 2 and out == ""
+    assert err == f"error: m={m} does not divide gcd(24, r) for any jump of C_24({jumps})\n"
 
 
 def test_parameter_violations_exit_code(capsys):

@@ -50,9 +50,6 @@ def test_build_edges_count(n, jumps, count):
 def test_edge_set_validation_and_neighbors():
     with pytest.raises(ValueError):
         EdgeSet(4, frozenset({(2, 1)}))  # not (min, max) normalised
-    e = build_edges(ConnectionSet(8, (1, 4)))
-    assert e.neighbors(0) == (1, 4, 7)
-    assert set(e.degree_sequence()) == {3}
 
 
 def test_detect_circulant_round_trip_examples():
