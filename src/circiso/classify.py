@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
-from typing import Optional
+from functools import lru_cache
+from math import comb, gcd
+from typing import Callable, Optional
 
 from .adam import adam_orbit
 from .graphs import ConnectionSet, build_edges, gcd_signature
-from .modarith import divisors_gt1
+from .modarith import divisors_gt1, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
-from .theta import theta_image
+from .theta import _mask_jumps, _shift_mask, theta_image
 
 Probe = tuple[int, int]  # (m, t)
 Pair = tuple[ConnectionSet, ConnectionSet]  # lexicographically ordered
@@ -110,10 +111,15 @@ def classify_pair(c: ConnectionSet, m: int, t: int) -> ClassificationRecord:
     return ClassificationRecord(c, m, t, "type2", image=s)
 
 
-def probe_records(c: ConnectionSet, allow_small: bool = False) -> list[ClassificationRecord]:
-    """Records of every admissible probe (m, t) of c, in (m, t) order."""
+def require_three_jumps(c: ConnectionSet, allow_small: bool = False) -> None:
+    """Refuse a set of fewer than 3 jumps unless allow_small is given."""
     if len(c.jumps) < 3 and not allow_small:
         raise ValueError(f"{c} has fewer than 3 jumps (pass allow_small to probe anyway)")
+
+
+def probe_records(c: ConnectionSet, allow_small: bool = False) -> list[ClassificationRecord]:
+    """Records of every admissible probe (m, t) of c, in (m, t) order."""
+    require_three_jumps(c, allow_small)
     return [classify_pair(c, m, t) for m, _ in admissible_m(c) for t in range(1, c.n // m)]
 
 
@@ -147,28 +153,112 @@ def ci_status_of_records(c: ConnectionSet, records) -> CIStatus:
     return CIStatus(graph=c, verdict="ci-theta")
 
 
-def _connection_sets(n: int, size: int):
-    for combo in itertools.combinations(range(1, n // 2 + 1), size):
-        yield ConnectionSet(n, combo)
+@lru_cache(maxsize=8)
+def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple[tuple[int, int], ...]]:
+    """Lookup tables of the mask census for order n: (products, symmetric,
+    moduli).
+
+    A jump mask has bit r - 1 set for each jump r in [1, n/2]; the integer
+    order of masks is the scan order.  A symmetric mask has bit s set for
+    each s in +-R, as `theta._shift_mask` reads it.  `products` maps jump
+    r to the jump-mask bit of x*r, one map per unit x <= n/2 (1 first);
+    `symmetric` maps jump r to the bits of r and n - r; `moduli` pairs
+    each m | n with 1 < m <= n/2 with the mask of the jumps m divides.
+    """
+    h = n // 2
+    products = tuple(
+        ([0] + [1 << (reflexive_reduce(n, x * r) - 1) for r in range(1, h + 1)]).__getitem__
+        for x in range(1, h + 1)
+        if gcd(n, x) == 1
+    )
+    symmetric = ([0] + [1 << r | 1 << (n - r) for r in range(1, h + 1)]).__getitem__
+    moduli = tuple(
+        (m, sum(1 << (r - 1) for r in range(m, h + 1, m))) for m in divisors_gt1(n) if m <= h
+    )
+    return products, symmetric, moduli
 
 
-def _census_rows(n: int, sizes) -> list:
-    """Serial census kernel: (pair, m, t) discoveries."""
-    rows = []
-    for size in sizes:
-        for c in _connection_sets(n, size):
-            for rec in probe_records(c, allow_small=True):
-                if rec.kind != "type2":
+def _unrank(k: int, rank: int) -> int:
+    """The k-bit mask with the given rank among all k-bit masks in integer
+    order (the combinatorial number system: rank = sum of C(c_i, i) over
+    its bit positions c_1 < ... < c_k)."""
+    v = 0
+    for i in range(k, 0, -1):
+        c = i - 1
+        while comb(c + 1, i) <= rank:
+            c += 1
+        v |= 1 << c
+        rank -= comb(c, i)
+    return v
+
+
+def _orbit_minima(n: int, products, sizes, start: int, stop: int):
+    """Yield (v, images, jumps) for every multiplier-orbit minimum among
+    positions [start, stop) of the scan order: all jump masks with a size
+    in `sizes`, size by size, each size in integer order.
+
+    v is a minimum when no unit multiple of it is a smaller mask, a test
+    on v alone; `images` lists the unit multiples of v, one per entry of
+    `products` (see `_order_tables`), so it holds the whole orbit.
+    """
+    h = n // 2
+    others = products[1:]  # units other than 1
+    offset = 0
+    for k in sizes:
+        count = comb(h, k)
+        lo, hi = max(start - offset, 0), min(stop - offset, count)
+        offset += count
+        if lo >= hi:
+            continue
+        v = _unrank(k, lo)
+        for _ in range(hi - lo):
+            jumps = _mask_jumps(v)
+            images = [v]
+            for product in others:
+                w = sum(map(product, jumps))  # unit images of distinct jumps are distinct bits
+                if w < v:
+                    break
+                images.append(w)
+            else:
+                yield v, images, jumps
+            low = v & -v  # next mask of the same size (Gosper)
+            ripple = v + low
+            v = ripple | ((v ^ ripple) >> 2) // low
+
+
+def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
+    """Type-2 pairs of jump masks found from the orbit minima in one range
+    of the scan order, with their witnesses (picklable worker entry).
+
+    Each minimum R is probed once per admissible (m, t); a circulant image
+    S outside the orbit of R (which holds R, so self images are out too) is
+    a Type-2 partner, and (xR, xS) is recorded with the same witness for
+    every unit x <= n/2 (x and n - x give the same reduced set).
+    """
+    n, sizes, start, stop = args
+    products, symmetric, moduli = _order_tables(n)
+    low_half = (1 << n // 2) - 1
+    found: dict[tuple[int, int], set[Probe]] = {}
+    for v, images, jumps in _orbit_minima(n, products, sizes, start, stop):
+        orbit = set(images)
+        a = sum(map(symmetric, jumps))
+        partners: dict[int, list[Probe]] = {}
+        for m, divisible in moduli:
+            if not v & divisible:
+                continue
+            for t in range(1, n // m):
+                image = _shift_mask(n, m, t, a)
+                if image is None:
                     continue
-                pair = (c, rec.image) if c < rec.image else (rec.image, c)
-                rows.append((pair, rec.m, rec.t))
-    return rows
-
-
-def _census_chunk(args) -> list:
-    """Worker entry point for --jobs > 1 (must stay picklable)."""
-    n, size = args
-    return _census_rows(n, [size])
+                w = image >> 1 & low_half
+                if w not in orbit:
+                    partners.setdefault(w, []).append((m, t))
+        for w, probes in partners.items():
+            partner_jumps = _mask_jumps(w)
+            for vx, product in zip(images, products):
+                wx = sum(map(product, partner_jumps))
+                found.setdefault((vx, wx) if vx < wx else (wx, vx), set()).update(probes)
+    return found
 
 
 def enumerate_type2(
@@ -180,8 +270,33 @@ def enumerate_type2(
 ) -> PairCensus:
     """Exhaustive Type-2 census over all jump sets with sizes in range.
 
+    Only one set per multiplier orbit is probed (the orbit minimum of the
+    scan order), and every pair found is carried to all unit multiples
+    with the same witnesses.  `jobs` splits the scan into contiguous
+    ranges of equal set count; one job scans the whole range.
     Deterministic: pairs are sorted lexicographically and witnesses merged
     across both discovery directions, independent of job count.
+
+    Lemma.  For a unit x and any probe (m, t), theta_{m,t} maps C_n(R)
+    onto a circulant C_n(S) iff it maps C_n(xR) onto a circulant, and that
+    circulant is C_n(xS).  Proof: gcd(x, m) = 1 because m | n, so x
+    permutes the residue classes mod m and fixes class 0; if A is the part
+    of +-R outside class 0, then xA is that part of +-xR.  A finite set is
+    closed under +k iff it is a union of cosets of <gcd(k, n)>, and
+    gcd(x^-1*t*m^2, n) = gcd(t*m^2, n), so xA is closed under +t*m^2 iff
+    A is, and the two images are circulant together (criterion of
+    `theta._shift_mask`).  Let A_i be the class-i part of A, closed under
+    +-t*m^2, so theta(A_i) = A_i + i*t*m is too.  xA_i lies in class j
+    with x*i = j + k*m, so x*theta(A_i) = xA_i + j*t*m + k*t*m^2 =
+    theta(xA_i) + k*t*m^2 = theta(xA_i), the last step by closure.  Jumps
+    in class 0 are fixed on both sides, hence theta(x(+-R)) = x*theta(+-R):
+    units commute with theta up to translation by multiples of t*m^2,
+    which fixes these images.  Admissibility (m divides some jump) is
+    unit-invariant since gcd(x, m) = 1; S = R iff xS = xR; and S lies in
+    the orbit of R iff xS lies in the orbit of xR, the same orbit.  So
+    every probe of xR has the outcome of the same probe of R carried by
+    x, and the census -- its pairs and their witness sets -- is the
+    expansion by units of the pairs found from one set per orbit.
     """
     if n < 4:
         raise ValueError(f"census needs n >= 4, got {n}")
@@ -194,19 +309,26 @@ def enumerate_type2(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
-    sizes = list(range(size_min, size_max + 1))
+    sizes = range(size_min, size_max + 1)
+    total = sum(comb(n // 2, k) for k in sizes)
+    bounds = [total * j // jobs for j in range(jobs + 1)]
+    parts = [(n, sizes, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if jobs > 1:
         import multiprocessing
 
         with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_census_chunk, [(n, size) for size in sizes])
-        rows = [row for chunk in chunks for row in chunk]
+            found = pool.map(_census_part, parts)
     else:
-        rows = _census_rows(n, sizes)
+        found = [_census_part(parts[0])]
 
-    witnesses: dict[Pair, set[Probe]] = {}
-    for pair, m, t in rows:
-        witnesses.setdefault(pair, set()).add((m, t))
+    merged: dict[tuple[int, int], set[Probe]] = {}
+    for part in found:
+        for key, probes in part.items():
+            merged.setdefault(key, set()).update(probes)
+    witnesses: dict[Pair, tuple[Probe, ...]] = {}
+    for masks, probes in merged.items():
+        left, right = sorted(ConnectionSet(n, tuple(_mask_jumps(v))) for v in masks)
+        witnesses[(left, right)] = tuple(sorted(probes))
     pairs = tuple(sorted(witnesses, key=lambda p: (p[0].jumps, p[1].jumps)))
     counts: dict[int, int] = {}
     for left, _ in pairs:
@@ -216,7 +338,7 @@ def enumerate_type2(
         size_min=size_min,
         size_max=size_max,
         pairs=pairs,
-        witnesses={p: tuple(sorted(witnesses[p])) for p in pairs},
+        witnesses={p: witnesses[p] for p in pairs},
         counts=counts,
     )
 
@@ -257,9 +379,10 @@ def ci_full_census(
     if n > oracle_cap:
         raise ValueError(f"order {n} exceeds the oracle cap {oracle_cap}")
     orbits: dict[ConnectionSet, list[ConnectionSet]] = {}
-    for c in _connection_sets(n, size):
-        rep = adam_orbit(c).canonical()
-        orbits.setdefault(rep, []).append(c)
+    products = _order_tables(n)[0]
+    for _, images, _ in _orbit_minima(n, products, (size,), 0, comb(n // 2, size)):
+        members = sorted(ConnectionSet(n, tuple(_mask_jumps(w))) for w in set(images))
+        orbits[members[0]] = members
 
     reps = sorted(orbits)
     edges = {rep: build_edges(rep) for rep in reps}
@@ -275,7 +398,7 @@ def ci_full_census(
 
     verdicts = []
     for rep in reps:
-        members = tuple(sorted(orbits[rep]))
+        members = tuple(orbits[rep])
         ci = not iso_partners[rep]
         anomaly = None
         if expected_ci is not None:

@@ -72,6 +72,7 @@ def _describe(rec: classify_mod.ClassificationRecord) -> str:
 
 def _classify_one(c: ConnectionSet, args) -> None:
     if args.m is not None:
+        classify_mod.require_three_jumps(c, allow_small=args.allow_small_sets)
         rec = classify_mod.classify_pair(c, args.m, args.t)
         print(f"{c}: {_describe(rec)}")
         return
@@ -87,6 +88,8 @@ def _cmd_classify(args) -> int:
     if (args.m is None) != (args.t is None):
         raise ValueError("classify needs --m and --t together")
     if args.file:
+        if args.n is not None or args.set:
+            raise ValueError("classify takes --file or --n/--set, not both")
         text = Path(args.file).read_text()
         for c in parse_connection_sets(text):
             _classify_one(c, args)

@@ -7,11 +7,15 @@ graph it sometimes lands on another circulant graph; when that image lies
 outside the source's multiplier orbit the two graphs witness a Type-2
 isomorphism.
 
-`theta_image` is the single circulance test.  It decides a probe from the
-jump set alone in O(|R|), by the closed form proved in its docstring, and
-`classify.classify_pair` is the single probe classifier built on it: shift
-tables and the CLI take their verdicts from there, so they refuse an m
-that divides gcd(n, r) for no jump r.  The edge-level `apply_to_edges` and
+The mask kernel `_shift_mask` is the single circulance test.  It decides a
+probe from the jump set alone, as a bit mask of +-R, by the closed form
+proved in its docstring: one rotation compare for circulance, one
+rotation per residue class for the image.  The census in `classify`
+calls it directly on masks; `theta_image` is a thin adapter over it
+(ConnectionSet -> mask -> ThetaResult), and `classify.classify_pair` is
+the single probe classifier built on that: shift tables and the CLI take
+their verdicts from there, so they refuse an m that divides gcd(n, r) for
+no jump r.  The edge-level `apply_to_edges` and
 `graphs.detect_circulant` stay as the definition the closed form is tested
 against.  `jump_shortcut` (circulant iff the elementwise image of the
 symmetric jump set is closed under negation; its negatives are conclusive,
@@ -74,12 +78,16 @@ def apply_to_edges(tm: ThetaMap, e: EdgeSet) -> EdgeSet:
     return EdgeSet(tm.n, frozenset(out))
 
 
-def theta_image(c: ConnectionSet, m: int, t: int) -> ThetaResult:
-    """Image of C_n(R) under the residue-shift map, decided from R alone.
+def _shift_mask(n: int, m: int, t: int, a: int) -> Optional[int]:
+    """The residue-shift kernel on a symmetric jump mask: bit s of `a` set
+    for every s in +-R.  Returns the mask of +-S with C_n(S) the image of
+    C_n(R) under theta_{n,m,t}, or None when that image is not circulant.
 
     Criterion: the image is circulant iff A = {s in +-R : m does not divide s}
-    is closed under s -> s + t*m^2 (mod n); it is then C_n(theta(+-R)),
-    with theta(s) = s + (s mod m)*t*m.
+    is closed under s -> s + t*m^2 (mod n), which on masks is the rotation
+    compare rot(A, t*m^2) == A; it is then C_n(theta(+-R)), with
+    theta(s) = s + (s mod m)*t*m, so its mask is the OR over residue
+    classes i of class i's bits of `a` rotated by i*t*m.
 
     Proof.  theta keeps residues mod m and translates class i by i*t*m, so
     a vertex y in class i has the neighbour offsets D_i = {theta(s) -
@@ -89,13 +97,45 @@ def theta_image(c: ConnectionSet, m: int, t: int) -> ThetaResult:
     -t*m^2, which for a finite set is the same as closure under +t*m^2.
     Jumps divisible by m are fixed, so they never break circulance.
     """
+    full = (1 << n) - 1
+    mult = full // ((1 << m) - 1)  # the bits at multiples of m, as m | n
+    image = a & mult
+    moving = a ^ image
+    step = t * m * m % n
+    if step and (moving << step | moving >> (n - step)) & full != moving:
+        return None
+    shift = t * m
+    for i in range(1, m):
+        part = moving & (mult << i)
+        if part:
+            k = i * shift % n
+            image |= (part << k | part >> (n - k)) & full
+    return image
+
+
+def theta_image(c: ConnectionSet, m: int, t: int) -> ThetaResult:
+    """Image of C_n(R) under the residue-shift map, decided from R alone by
+    the mask kernel `_shift_mask` (criterion and proof in its docstring)."""
     ThetaMap(c.n, m, t)  # validates m and t
-    n, shift = c.n, t * m
-    sym = [s for r in c.jumps for s in (r, n - r)]
-    moving = {s for s in sym if s % m}
-    if any((s + shift * m) % n not in moving for s in moving):
+    n = c.n
+    a = 0
+    for r in c.jumps:
+        a |= 1 << r | 1 << (n - r)
+    image = _shift_mask(n, m, t, a)
+    if image is None:
         return ThetaResult(image=None)
-    return ThetaResult(image=ConnectionSet.reduce(n, [(s + s % m * shift) % n for s in sym]))
+    jumps = _mask_jumps(image >> 1 & ((1 << n // 2) - 1))
+    return ThetaResult(image=ConnectionSet(n, tuple(jumps)))
+
+
+def _mask_jumps(v: int) -> list[int]:
+    """The jumps of a jump mask (bit r - 1 set for jump r), ascending."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length())
+        v ^= low
+    return out
 
 
 def jump_shortcut(c: ConnectionSet, m: int, t: int) -> ThetaResult:

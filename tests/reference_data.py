@@ -174,3 +174,31 @@ ORBIT_TABLE_ROWS_24 = [
 # every other triple of the order is reported CI.
 NON_CI_TRIPLES_16 = {(1, 2, 7), (2, 3, 5), (1, 6, 7), (3, 5, 6)}
 NON_CI_TRIPLES_24 = {(1, 2, 11), (2, 5, 7), (1, 10, 11), (5, 7, 10)}
+
+# sha256 of the canonical census JSON (`circiso enumerate --n N --format json
+# --canonical`, sizes 3..N/2) for N = 8..28 and 32, recorded from the
+# per-set scan that probed every jump set before the orbit-level census.
+CENSUS_JSON_SHA256 = {
+    8: "1657bd1bc3a5cea4735581cbc7cdc19f4bb3fd00a53e3c7d34997ad003ccc193",
+    9: "0b8076ab5400dcd5ba7c16ecc0066b61c71efc7f2148fd039f6976e8e7edf598",
+    10: "ae3597f822587187e65833a36fd8c145a8eca5d3b9b499322a84633ffb111d4f",
+    11: "e7a9e85c040eb0db7264aeb92ece7e10908f7c9cb1d558efd74dd1179e282b24",
+    12: "34b0dbdaf94c747880a096eae1d07c2e567c753b604c154852cb544dee21bbc9",
+    13: "4e56ab23c992fc1ad3e9200c6dcfe1befb7417158b5b98f09fcc19d7a406266f",
+    14: "f0e22ab5aaaed95e7f0c98c00e002f05683611eca6efd02796c03d29301024ee",
+    15: "b9e1d2fc8c578a7a8f5fb1156e2c862ff6c7c00bbb7c3d0baacdcbed70f18a43",
+    16: "faf321622014ba204d1c8ad845166a152844c7f35cc8792f5a2ff279407852ce",
+    17: "f56fa8ff39077ce7f00eaaaff233f858aeacabdeee9ebea6e63818381fc1998a",
+    18: "a7981f290463337418806b3cd202fc484c041f3a8442433da301285082642c95",
+    19: "8737a1fd859c324ca7cd27f55369941c80a0a57f97e09a260074e4a27b69cdd9",
+    20: "3be8bd7d638d21b89d1e096648e92132e9704e758fa974cbc4493d50895de44d",
+    21: "dc5ea5c1eca26f83b4e2af68a7d905cf147d6e40c2473cac2f91c7549ea9163d",
+    22: "6e12220ddbcf61df5cbd8c3045209c3058407eb1edda9f7ace7d112c1a446717",
+    23: "78c2ad05590696a00bec4c89bdfcbd48d36360f254452675d67c535ea2c4419f",
+    24: "511d317fc8b2c95e35d20756142e81473ff03dd6f744ca753c57d6994c7b7582",
+    25: "370c1cd2fa3b49747cd169be78f61a1f35921e1765fcb8ab70ffdde7523901ea",
+    26: "bd4335750b5d708cbfe5498da5cf8f3b7a77527ee5d60a2fd9b4abfbc0569aba",
+    27: "3c3f117598cbff408e8fec946ac278469bde67c6b1dc430df740d602be4a88fb",
+    28: "6ff85df6d59631705a7ca39767cbe307bc11758fea44b5187ecc7831eb4904ec",
+    32: "c68d8aad16e50e3df4670a3b26bfa1b88aee10a7e14366493b31a9f29eaf0ba7",
+}

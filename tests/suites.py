@@ -163,6 +163,33 @@ def residue_kernel_agrees_with_edges(max_n: int = 20) -> list[str]:
     return bad
 
 
+def units_commute_with_theta(max_n: int = 20) -> list[str]:
+    """theta_image(xR, m, t) is x*theta_image(R, m, t), and None exactly
+    when the other side is None, for every n <= max_n, every jump set R,
+    every m | n with 1 < m < n, every t in [1, n/m - 1] and every unit
+    1 < x <= n/2 (81,972 checks at max_n = 20).  Unit multiples are taken
+    with the package-free `reflexive_jump`."""
+
+    def times(n, x, jumps):
+        return tuple(sorted({reflexive_jump(n, x * r) for r in jumps}))
+
+    bad = []
+    for n in range(2, max_n + 1):
+        probes = [(m, t) for m in range(2, n) if n % m == 0 for t in range(1, n // m)]
+        units = [x for x in range(2, n // 2 + 1) if gcd(x, n) == 1]
+        for size in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                images = {p: theta_image(ConnectionSet(n, combo), *p).image for p in probes}
+                for x in units:
+                    scaled = ConnectionSet(n, times(n, x, combo))
+                    for (m, t), image in images.items():
+                        got = theta_image(scaled, m, t).image
+                        want = None if image is None else times(n, x, image.jumps)
+                        if (got.jumps if got else None) != want:
+                            bad.append(f"x={x} does not commute at n={n}, R={combo}, m={m}, t={t}")
+    return bad
+
+
 def orbit_symmetry(orders=(16, 24)) -> list[str]:
     """Orbit membership is symmetric over every pair of triples."""
     bad = []

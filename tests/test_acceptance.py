@@ -39,6 +39,7 @@ from suites import (
     shortcut_agrees_with_edges,
     theta_group_law,
     type2_pair_violations,
+    units_commute_with_theta,
 )
 
 
@@ -188,6 +189,7 @@ def test_criterion_8_property_suites():
     failures += cycle_structure_vs_trace(40)
     failures += shortcut_agrees_with_edges((16, 24), 4)
     failures += residue_kernel_agrees_with_edges(20)
+    failures += units_commute_with_theta(20)
     failures += orbit_symmetry((16, 24))
     failures += jump2_triple_necessity((16, 24, 32, 40))
     elapsed = time.monotonic() - start

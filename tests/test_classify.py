@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import gcd
 
@@ -15,9 +16,16 @@ from circiso.classify import (
 )
 from circiso.graphs import ConnectionSet, build_edges
 from circiso.oracle import are_isomorphic
+from circiso.report import emit_census
 from circiso.theta import theta_image
 
-from reference_data import NON_CI_TRIPLES_24, ORBIT_TABLE_ROWS_24, PAIRS_16, PAIRS_24
+from reference_data import (
+    CENSUS_JSON_SHA256,
+    NON_CI_TRIPLES_24,
+    ORBIT_TABLE_ROWS_24,
+    PAIRS_16,
+    PAIRS_24,
+)
 from suites import (
     brute_unit_orbit,
     circulant_edge_set,
@@ -164,10 +172,19 @@ def test_census_closure_and_determinism():
 
 
 def test_census_parallel_matches_serial():
-    serial = enumerate_type2(16, 3, 6)
-    parallel = enumerate_type2(16, 3, 6, jobs=2)
-    assert parallel.pairs == serial.pairs
-    assert parallel.witnesses == serial.witnesses
+    # n = 24 has 64 pairs and n = 27 has 72 (all m = 3), so two jobs split
+    # nonempty censuses across their range boundary.
+    for n in (24, 27):
+        serial = enumerate_type2(n)
+        parallel = enumerate_type2(n, jobs=2)
+        assert parallel.pairs == serial.pairs
+        assert parallel.witnesses == serial.witnesses
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_JSON_SHA256))
+def test_canonical_census_json_matches_recorded_digest(n):
+    text = emit_census(enumerate_type2(n), format="json", canonical=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_JSON_SHA256[n]
 
 
 def test_census_preconditions():

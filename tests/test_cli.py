@@ -62,6 +62,32 @@ def test_classify_from_file(tmp_path, capsys):
     assert "C_24(1,2,11): non-ci" in out
 
 
+@pytest.mark.parametrize(
+    "extra", [["--n", "24", "--set", "1,2,3"], ["--n", "24"], ["--set", "1,2,3"]]
+)
+def test_classify_refuses_file_with_set(tmp_path, capsys, extra):
+    path = tmp_path / "sets.txt"
+    path.write_text("16: 1,6,7\n")
+    code, out, err = run_cli(capsys, "classify", "--file", str(path), *extra)
+    assert code == 2 and out == ""
+    assert err == "error: classify takes --file or --n/--set, not both\n"
+
+
+@pytest.mark.parametrize("flag", [[], ["--allow-small-sets"]])
+def test_classify_single_probe_gates_small_sets(capsys, flag):
+    code, out, err = run_cli(
+        capsys, "classify", "--n", "16", "--set", "1,6", "--m", "2", "--t", "1", *flag
+    )
+    if flag:
+        assert code == 0 and err == ""
+        assert out == "C_16(1,6): (m=2, t=1) not-circulant\n"
+    else:
+        assert code == 2 and out == ""
+        assert err == (
+            "error: C_16(1,6) has fewer than 3 jumps (pass allow_small to probe anyway)\n"
+        )
+
+
 def test_enumerate_text(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "16", "--format", "text")
     assert code == 0

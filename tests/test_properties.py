@@ -14,6 +14,7 @@ from suites import (
     residue_kernel_agrees_with_edges,
     shortcut_agrees_with_edges,
     theta_group_law,
+    units_commute_with_theta,
 )
 
 
@@ -31,6 +32,10 @@ def test_shortcut_agrees_with_edge_level_exhaustively():
 
 def test_residue_kernel_agrees_with_edge_level_up_to_20():
     assert residue_kernel_agrees_with_edges(20) == []
+
+
+def test_units_commute_with_theta_up_to_20():
+    assert units_commute_with_theta(20) == []
 
 
 def test_orbit_symmetry_exhaustive_triples():
