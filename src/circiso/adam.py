@@ -27,10 +27,6 @@ class AdamOrbit:
     members: tuple[ConnectionSet, ...]
     witness: dict[ConnectionSet, int]
 
-    def canonical(self) -> ConnectionSet:
-        """Lexicographically smallest member, the deterministic orbit key."""
-        return self.members[0]
-
 
 def multiply_set(c: ConnectionSet, x: int) -> ConnectionSet:
     """Reduce x*R for a unit x; units permute the nonzero reflexive classes."""

@@ -23,7 +23,7 @@ from math import comb, gcd
 from typing import Callable, Optional
 
 from .adam import adam_orbit
-from .graphs import ConnectionSet, build_edges, gcd_signature
+from .graphs import ConnectionSet, build_edges, closed_walk_counts
 from .modarith import divisors_gt1, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
 from .theta import _mask_jumps, _shift_mask, theta_image
@@ -361,16 +361,27 @@ def ci_full_census(
 ) -> list[OrbitVerdict]:
     """Oracle-backed CI census of all size-`size` jump sets of order n.
 
-    Groups the sets into multiplier orbits, buckets the orbits by gcd
-    signature and lets the oracle decide isomorphism between every two
-    orbits of a bucket.  The signature is only a bucketing key: no proof
-    is on record that isomorphic circulants share it, but the test suite
-    checks it against the oracle on every pair of orbits of each size at
-    every order n <= 18.  An orbit is CI exactly when no other orbit is
-    isomorphic to it.  When a mapping of expected verdicts (jump tuple ->
-    True for CI) is supplied, disagreements are reported on the verdict
-    rows as anomalies -- never raised.  Orders below 2 and sizes outside
-    [1, n/2] are refused.
+    Groups the sets into multiplier orbits, buckets the orbits by their
+    closed-walk counts (`graphs.closed_walk_counts`) and lets the oracle
+    decide isomorphism between every two orbits of a bucket; edge sets are
+    built only for orbits whose bucket holds two or more.  An orbit is CI
+    exactly when no other orbit is isomorphic to it.  When a mapping of
+    expected verdicts (jump tuple -> True for CI) is supplied,
+    disagreements are reported on the verdict rows as anomalies -- never
+    raised.  Orders below 2 and sizes outside [1, n/2] are refused.
+
+    Isomorphic circulants share the key, so the buckets separate no
+    isomorphic pair of orbits and the verdicts are those of comparing
+    every pair.  Proof: let A be the adjacency matrix of C_n(R) and W_k
+    the number of closed walks of length k from vertex 0, (A^k)_00.  The
+    rotation x -> x + v is an automorphism carrying 0 to v, so
+    (A^k)_vv = W_k for every vertex v and W_k = tr(A^k)/n.  An
+    isomorphism onto C_n(S), with adjacency B, is a permutation matrix P
+    with B = P A P^T, so B^k = P A^k P^T and tr(B^k) = tr(A^k).  Hence
+    C_n(R) and C_n(S) have equal W_k for k = 1..n.  The key only prunes:
+    isospectral circulants need not be isomorphic (Elspas and Turner,
+    J. Combin. Theory 1970), so the oracle still decides every pair that
+    shares a bucket.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -385,12 +396,14 @@ def ci_full_census(
         orbits[members[0]] = members
 
     reps = sorted(orbits)
-    edges = {rep: build_edges(rep) for rep in reps}
     buckets: dict[tuple[int, ...], list[ConnectionSet]] = {}
     for rep in reps:
-        buckets.setdefault(gcd_signature(rep), []).append(rep)
+        buckets.setdefault(closed_walk_counts(rep), []).append(rep)
     iso_partners: dict[ConnectionSet, list[ConnectionSet]] = {rep: [] for rep in reps}
     for bucket in buckets.values():
+        if len(bucket) < 2:
+            continue
+        edges = {rep: build_edges(rep) for rep in bucket}
         for a, b in itertools.combinations(bucket, 2):
             if are_isomorphic(edges[a], edges[b], cap=oracle_cap):
                 iso_partners[a].append(b)

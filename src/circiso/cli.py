@@ -19,7 +19,6 @@ from . import families, report
 from .adam import adam_orbit, same_adam_orbit
 from .graphs import ConnectionSet, build_edges, parse_connection_sets
 from .oracle import DEFAULT_CAP, are_isomorphic
-from .theta import theta_image
 
 
 def _parse_set(n: int, literal: str) -> ConnectionSet:
@@ -45,12 +44,11 @@ def _cmd_orbit(args) -> int:
 
 
 def _cmd_theta(args) -> int:
-    c = _parse_set(args.n, args.set)
-    res = theta_image(c, args.m, args.t)
-    if res.image is None:
+    rec = classify_mod.classify_pair(_parse_set(args.n, args.set), args.m, args.t)
+    if rec.image is None:
         print("not-circulant")
     else:
-        print(f"circulant: {','.join(str(j) for j in res.image.jumps)}")
+        print(f"circulant: {','.join(str(j) for j in rec.image.jumps)}")
     return 0
 
 

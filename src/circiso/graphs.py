@@ -3,7 +3,8 @@
 A circulant graph is named by its order n and a reduced jump set
 R subseteq [1, n//2]: vertex x is joined to x +- r (mod n) for every r in R.
 This module materialises such graphs, recognises whether an arbitrary edge
-set is circulant, and computes the periodic cycle structure of a jump.
+set is circulant, and computes the periodic cycle structure of a jump and
+the closed-walk counts that key the CI census.
 """
 
 from __future__ import annotations
@@ -115,12 +116,37 @@ def cycle_structure(n: int, r: int) -> CycleStructure:
 def gcd_signature(c: ConnectionSet) -> tuple[int, ...]:
     """The sorted multiset {gcd(n, r) : r in jumps}.
 
-    Only the CI census's bucketing key, not a certificate: nothing here
-    proves that isomorphic circulants carry equal signatures.  The test
-    suite checks that against the colour-refinement oracle on every pair
-    of same-size multiplier orbits at every order n <= 18.
+    Not a certificate, and no longer used by any correctness path: the CI
+    census buckets by `closed_walk_counts`, a proven invariant.  It stays
+    exported only because the benchmark under `perfbench/` traces it.
     """
     return tuple(sorted(gcd(c.n, r) for r in c.jumps))
+
+
+def closed_walk_counts(c: ConnectionSet) -> tuple[int, ...]:
+    """The numbers of closed walks of length k = 1..n from vertex 0 of C_n(R).
+
+    The count for k is the coefficient of x^0 in P(x)^k mod x^n - 1, where
+    P is the sum of x^s over s in +-R: the coefficient of x^j counts the
+    walks of length k from 0 to j.  The polynomial is packed into one
+    integer, coefficient j in bits [j*w, (j+1)*w); multiplying by P and
+    adding the top n fields onto the bottom n reduces mod x^n - 1.  No
+    field carries into the next, because every field holds at most the
+    number of all walks of length k, d^k <= d^n < 2^(w-1) with d = |+-R|
+    and w = n*bitlen(d) + 1.
+    """
+    n = c.n
+    sym = c.symmetric_jumps()
+    width = n * len(sym).bit_length() + 1
+    span = n * width
+    low, field = (1 << span) - 1, (1 << width) - 1
+    step = sum(1 << s * width for s in sym)
+    walks, counts = 1, []
+    for _ in range(n):
+        walks *= step
+        walks = (walks & low) + (walks >> span)
+        counts.append(walks & field)
+    return tuple(counts)
 
 
 def format_connection_set(c: ConnectionSet) -> str:

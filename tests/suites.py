@@ -12,9 +12,12 @@ from circiso import (
     ConnectionSet,
     ThetaMap,
     adam_orbit,
+    are_isomorphic,
+    build_edges,
     cycle_structure,
     enumerate_type2,
 )
+from circiso.graphs import closed_walk_counts
 from circiso.theta import jump_shortcut, theta_image
 
 
@@ -188,6 +191,64 @@ def units_commute_with_theta(max_n: int = 20) -> list[str]:
                         if (got.jumps if got else None) != want:
                             bad.append(f"x={x} does not commute at n={n}, R={combo}, m={m}, t={t}")
     return bad
+
+
+def adjacency_power_traces(n: int, jumps) -> list[int]:
+    """tr(A^k) for k = 1..n, A the adjacency matrix of the package-free
+    `circulant_edge_set(n, jumps)`; row u of A^(k+1) is the sum of the rows
+    of A^k at the neighbours of u."""
+    nbrs = [[] for _ in range(n)]
+    for edge in circulant_edge_set(n, jumps):
+        u, v = edge
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    power = [[int(u == v) for v in range(n)] for u in range(n)]
+    traces = []
+    for _ in range(n):
+        power = [list(map(sum, zip(*(power[w] for w in nbrs[u])))) for u in range(n)]
+        traces.append(sum(power[v][v] for v in range(n)))
+    return traces
+
+
+def walk_counts_match_traces(max_n: int = 16) -> list[str]:
+    """n * closed_walk_counts(R)[k - 1] equals tr(A^k) for k = 1..n, for
+    every n <= max_n and every jump set R (749 sets at max_n = 16)."""
+    bad = []
+    for n in range(2, max_n + 1):
+        for size in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                counts = closed_walk_counts(ConnectionSet(n, combo))
+                if [n * w for w in counts] != adjacency_power_traces(n, combo):
+                    bad.append(f"walk counts differ from traces at n={n}, R={combo}")
+    return bad
+
+
+def walk_key_separates_only_non_isomorphic(max_n: int = 18) -> tuple[list[str], int]:
+    """Every two same-size multiplier orbits at an order n <= max_n whose
+    closed-walk counts differ are non-isomorphic per the oracle, which
+    never looks at walk counts.  Returns the violations and the number of
+    orbit pairs checked (4,531 at max_n = 18).  Orbits are the
+    package-free `brute_unit_orbit`s, each represented by its smallest
+    member."""
+    bad = []
+    checked = 0
+    for n in range(2, max_n + 1):
+        for size in range(1, n // 2 + 1):
+            reps = sorted(
+                {
+                    min(brute_unit_orbit(n, combo))
+                    for combo in itertools.combinations(range(1, n // 2 + 1), size)
+                }
+            )
+            keys = {rep: closed_walk_counts(ConnectionSet(n, rep)) for rep in reps}
+            for a, b in itertools.combinations(reps, 2):
+                if keys[a] == keys[b]:
+                    continue
+                checked += 1
+                left = build_edges(ConnectionSet(n, a))
+                if are_isomorphic(left, build_edges(ConnectionSet(n, b))):
+                    bad.append(f"C_{n}{a} and C_{n}{b} differ in walk counts but are isomorphic")
+    return bad, checked
 
 
 def orbit_symmetry(orders=(16, 24)) -> list[str]:

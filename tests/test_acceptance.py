@@ -40,6 +40,8 @@ from suites import (
     theta_group_law,
     type2_pair_violations,
     units_commute_with_theta,
+    walk_counts_match_traces,
+    walk_key_separates_only_non_isomorphic,
 )
 
 
@@ -192,6 +194,11 @@ def test_criterion_8_property_suites():
     failures += units_commute_with_theta(20)
     failures += orbit_symmetry((16, 24))
     failures += jump2_triple_necessity((16, 24, 32, 40))
+    failures += walk_counts_match_traces(16)
+    bad, checked = walk_key_separates_only_non_isomorphic(18)
+    failures += bad
+    if checked != 4531:
+        failures.append(f"walk-key suite checked {checked} orbit pairs, not 4,531")
     elapsed = time.monotonic() - start
     _report(
         8,

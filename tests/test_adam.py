@@ -98,7 +98,7 @@ def test_orbits_partition_triples_of_order_16():
     ]
     seen = {}
     for c in triples:
-        rep = adam_orbit(c).canonical()
+        rep = adam_orbit(c).members[0]
         seen.setdefault(rep, set()).add(c)
     # orbits are disjoint and cover the family
     assert sum(len(v) for v in seen.values()) == len(triples)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 from math import gcd
 
 import pytest
@@ -21,6 +22,7 @@ from circiso.theta import theta_image
 
 from reference_data import (
     CENSUS_JSON_SHA256,
+    CI_VERDICT_SHA256,
     NON_CI_TRIPLES_24,
     ORBIT_TABLE_ROWS_24,
     PAIRS_16,
@@ -288,6 +290,20 @@ def test_ci_full_census_anomaly_reporting():
     verdicts = ci_full_census(16, 3, expected_ci=expected)
     anomalies = [v.anomaly for v in verdicts if v.anomaly]
     assert anomalies and any("(1,2,7)" in a.replace(" ", "") for a in anomalies)
+
+
+def test_ci_full_census_verdicts_match_recorded_digests():
+    # 98 censuses; the digests were recorded from the gcd-signature buckets,
+    # so a bucket key that separates an isomorphic pair of orbits fails here
+    mismatched = []
+    for (n, size), digest in CI_VERDICT_SHA256.items():
+        rows = [
+            [[m.jumps for m in v.orbit_members], v.ci, [p.jumps for p in v.isomorphic_to], v.anomaly]
+            for v in ci_full_census(n, size)
+        ]
+        if hashlib.sha256(json.dumps(rows).encode()).hexdigest() != digest:
+            mismatched.append((n, size))
+    assert len(CI_VERDICT_SHA256) == 98 and mismatched == []
 
 
 def test_ci_full_census_respects_cap():

@@ -254,6 +254,20 @@ def test_theta_table_refuses_inadmissible_m(capsys, m, jumps):
     assert err == f"error: m={m} does not divide gcd(24, r) for any jump of C_24({jumps})\n"
 
 
+@pytest.mark.parametrize(
+    "jumps, m, t, message",
+    [
+        ("1,2,4", "3", "1", "m=3 does not divide gcd(24, r) for any jump of C_24(1,2,4)"),
+        ("1,2,3", "2", "0", "shift t=0 out of range [1, 11]"),
+        ("1,2,3", "2", "12", "shift t=12 out of range [1, 11]"),
+    ],
+)
+def test_theta_refuses_what_classify_refuses(capsys, jumps, m, t, message):
+    code, out, err = run_cli(capsys, "theta", "--n", "24", "--m", m, "--t", t, "--set", jumps)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_parameter_violations_exit_code(capsys):
     code, _, err = run_cli(capsys, "theta", "--n", "24", "--m", "5", "--t", "1", "--set", "1,2,3")
     assert code == 2

@@ -15,6 +15,8 @@ from suites import (
     shortcut_agrees_with_edges,
     theta_group_law,
     units_commute_with_theta,
+    walk_counts_match_traces,
+    walk_key_separates_only_non_isomorphic,
 )
 
 
@@ -46,16 +48,27 @@ def test_jump2_triple_necessity_conditions():
     assert jump2_triple_necessity((16, 24, 32, 40)) == []
 
 
+def test_walk_counts_are_adjacency_traces_up_to_16():
+    assert walk_counts_match_traces(16) == []
+
+
+def test_unequal_walk_counts_imply_non_isomorphic_up_to_18():
+    bad, checked = walk_key_separates_only_non_isomorphic(18)
+    assert bad == [] and checked == 4531
+
+
 def test_unequal_signature_implies_non_isomorphic_samples():
-    # The oracle never looks at signatures, so this backs the CI census's
-    # bucketing key: every pair of same-size multiplier orbits at n <= 18
+    # The gcd signature no longer backs the CI census, which buckets by
+    # closed-walk counts; this keeps the signature's own claim checked
+    # while the benchmark still traces it.  The oracle never looks at
+    # signatures: every pair of same-size multiplier orbits at n <= 18
     # (4,240 pairs with unequal signatures), then random samples above.
     checked = 0
     for n in range(1, 19):
         for size in range(1, n // 2 + 1):
             reps = sorted(
                 {
-                    adam_orbit(ConnectionSet(n, combo)).canonical()
+                    adam_orbit(ConnectionSet(n, combo)).members[0]
                     for combo in itertools.combinations(range(1, n // 2 + 1), size)
                 }
             )
