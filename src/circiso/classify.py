@@ -362,13 +362,16 @@ def ci_full_census(
     """Oracle-backed CI census of all size-`size` jump sets of order n.
 
     Groups the sets into multiplier orbits, buckets the orbits by their
-    closed-walk counts (`graphs.closed_walk_counts`) and lets the oracle
-    decide isomorphism between every two orbits of a bucket; edge sets are
-    built only for orbits whose bucket holds two or more.  An orbit is CI
-    exactly when no other orbit is isomorphic to it.  When a mapping of
-    expected verdicts (jump tuple -> True for CI) is supplied,
-    disagreements are reported on the verdict rows as anomalies -- never
-    raised.  Orders below 2 and sizes outside [1, n/2] are refused.
+    number of components, gcd(n, r_1, ..., r_k), and then by their
+    closed-walk counts (`graphs.closed_walk_counts`), and lets the oracle
+    decide isomorphism between every two orbits of a bucket.  Walk counts
+    are computed only for orbits that share their component count with
+    another, and edge sets only for orbits whose bucket holds two or more.
+    An orbit is CI exactly when no other orbit is isomorphic to it.  When
+    a mapping of expected verdicts (jump tuple -> True for CI) is
+    supplied, disagreements are reported on the verdict rows as anomalies
+    -- never raised.  Orders below 2 and sizes outside [1, n/2] are
+    refused.
 
     Isomorphic circulants share the key, so the buckets separate no
     isomorphic pair of orbits and the verdicts are those of comparing
@@ -378,7 +381,12 @@ def ci_full_census(
     (A^k)_vv = W_k for every vertex v and W_k = tr(A^k)/n.  An
     isomorphism onto C_n(S), with adjacency B, is a permutation matrix P
     with B = P A P^T, so B^k = P A^k P^T and tr(B^k) = tr(A^k).  Hence
-    C_n(R) and C_n(S) have equal W_k for k = 1..n.  The key only prunes:
+    C_n(R) and C_n(S) have equal W_k for k = 1..n; they also have equally
+    many components.  The component count adds no split of its own: the
+    traces tr(A^k), k = 1..n, fix the spectrum (Newton's identities), and
+    in a regular graph of degree W_2 the number of components is the
+    multiplicity of the eigenvalue W_2.  It only spares the walk counts
+    of orbits alone in their group.  The key only prunes:
     isospectral circulants need not be isomorphic (Elspas and Turner,
     J. Combin. Theory 1970), so the oracle still decides every pair that
     shares a bucket.
@@ -396,13 +404,19 @@ def ci_full_census(
         orbits[members[0]] = members
 
     reps = sorted(orbits)
-    buckets: dict[tuple[int, ...], list[ConnectionSet]] = {}
+    by_components: dict[int, list[ConnectionSet]] = {}
     for rep in reps:
-        buckets.setdefault(closed_walk_counts(rep), []).append(rep)
-    iso_partners: dict[ConnectionSet, list[ConnectionSet]] = {rep: [] for rep in reps}
-    for bucket in buckets.values():
-        if len(bucket) < 2:
+        by_components.setdefault(gcd(n, *rep.jumps), []).append(rep)
+    buckets: list[list[ConnectionSet]] = []
+    for group in by_components.values():
+        if len(group) < 2:
             continue
+        by_walks: dict[tuple[int, ...], list[ConnectionSet]] = {}
+        for rep in group:
+            by_walks.setdefault(closed_walk_counts(rep), []).append(rep)
+        buckets.extend(bucket for bucket in by_walks.values() if len(bucket) > 1)
+    iso_partners: dict[ConnectionSet, list[ConnectionSet]] = {rep: [] for rep in reps}
+    for bucket in buckets:
         edges = {rep: build_edges(rep) for rep in bucket}
         for a, b in itertools.combinations(bucket, 2):
             if are_isomorphic(edges[a], edges[b], cap=oracle_cap):

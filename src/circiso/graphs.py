@@ -126,26 +126,22 @@ def gcd_signature(c: ConnectionSet) -> tuple[int, ...]:
 def closed_walk_counts(c: ConnectionSet) -> tuple[int, ...]:
     """The numbers of closed walks of length k = 1..n from vertex 0 of C_n(R).
 
-    The count for k is the coefficient of x^0 in P(x)^k mod x^n - 1, where
-    P is the sum of x^s over s in +-R: the coefficient of x^j counts the
-    walks of length k from 0 to j.  The polynomial is packed into one
-    integer, coefficient j in bits [j*w, (j+1)*w); multiplying by P and
-    adding the top n fields onto the bottom n reduces mod x^n - 1.  No
-    field carries into the next, because every field holds at most the
-    number of all walks of length k, d^k <= d^n < 2^(w-1) with d = |+-R|
-    and w = n*bitlen(d) + 1.
+    A dynamic programme over Z_n: after k steps walks[j] is the number of
+    walks of length k from 0 to j, the coefficient of x^j in P(x)^k mod
+    x^n - 1 with P the sum of x^s over s in +-R.  One more step sets it
+    to the sum of walks[j - s] over s in +-R.  Negation maps +-R onto
+    itself, so walks[j] = walks[-j] at every length; each step computes
+    j = 0..n//2 only and mirrors the rest.  A key costs O(n^2 * |+-R|)
+    additions.
     """
-    n = c.n
+    n, half = c.n, c.n // 2
     sym = c.symmetric_jumps()
-    width = n * len(sym).bit_length() + 1
-    span = n * width
-    low, field = (1 << span) - 1, (1 << width) - 1
-    step = sum(1 << s * width for s in sym)
-    walks, counts = 1, []
+    walks, counts = [1] + [0] * (n - 1), []
     for _ in range(n):
-        walks *= step
-        walks = (walks & low) + (walks >> span)
-        counts.append(walks & field)
+        doubled = walks + walks
+        low = list(map(sum, zip(*[doubled[n - s : n - s + half + 1] for s in sym])))
+        walks = low + low[n - half - 1 : 0 : -1]
+        counts.append(walks[0])
     return tuple(counts)
 
 

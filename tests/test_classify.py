@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+import circiso.classify as classify_mod
 from circiso.adam import adam_orbit
 from circiso.classify import (
     admissible_m,
@@ -304,6 +305,17 @@ def test_ci_full_census_verdicts_match_recorded_digests():
         if hashlib.sha256(json.dumps(rows).encode()).hexdigest() != digest:
             mismatched.append((n, size))
     assert len(CI_VERDICT_SHA256) == 98 and mismatched == []
+
+
+def test_ci_full_census_keys_only_orbits_that_share_a_component_count(monkeypatch):
+    # at size 1 the component count gcd(n, r) tells every orbit apart, so a
+    # large order computes no walk counts and makes no oracle call
+    keyed, decided = [], []
+    monkeypatch.setattr(classify_mod, "closed_walk_counts", keyed.append)
+    monkeypatch.setattr(classify_mod, "are_isomorphic", lambda *a, **k: decided.append(a))
+    verdicts = ci_full_census(1200, 1, oracle_cap=2000)
+    assert len(verdicts) == 29 and all(v.ci for v in verdicts)
+    assert keyed == [] and decided == []
 
 
 def test_ci_full_census_respects_cap():
