@@ -17,16 +17,20 @@ separately.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
+from time import perf_counter
 from typing import Callable, Optional
 
 from .adam import adam_orbit
-from .graphs import ConnectionSet, build_edges, closed_walk_counts
+from .graphs import ConnectionSet, build_edges, closed_walk_counts, rooted_refinement_key
 from .modarith import divisors_gt1, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
 from .theta import _mask_jumps, _shift_mask, theta_image
+
+logger = logging.getLogger(__name__)
 
 Probe = tuple[int, int]  # (m, t)
 Pair = tuple[ConnectionSet, ConnectionSet]  # lexicographically ordered
@@ -353,6 +357,20 @@ def confirm_with_oracle(census: PairCensus, cap: int = DEFAULT_CAP) -> PairCensu
     return census
 
 
+def _split_buckets(groups, key: Callable) -> list[list[ConnectionSet]]:
+    """Split every group of two or more by `key`, keeping the parts of two
+    or more; `key` runs on no member of a smaller group."""
+    parts: list[list[ConnectionSet]] = []
+    for group in groups:
+        if len(group) < 2:
+            continue
+        by_key: dict = {}
+        for rep in group:
+            by_key.setdefault(key(rep), []).append(rep)
+        parts.extend(part for part in by_key.values() if len(part) > 1)
+    return parts
+
+
 def ci_full_census(
     n: int,
     size: int,
@@ -361,19 +379,23 @@ def ci_full_census(
 ) -> list[OrbitVerdict]:
     """Oracle-backed CI census of all size-`size` jump sets of order n.
 
-    Groups the sets into multiplier orbits, buckets the orbits by their
-    number of components, gcd(n, r_1, ..., r_k), and then by their
-    closed-walk counts (`graphs.closed_walk_counts`), and lets the oracle
-    decide isomorphism between every two orbits of a bucket.  Walk counts
-    are computed only for orbits that share their component count with
-    another, and edge sets only for orbits whose bucket holds two or more.
-    An orbit is CI exactly when no other orbit is isomorphic to it.  When
-    a mapping of expected verdicts (jump tuple -> True for CI) is
-    supplied, disagreements are reported on the verdict rows as anomalies
-    -- never raised.  Orders below 2 and sizes outside [1, n/2] are
-    refused.
+    Groups the sets into multiplier orbits and buckets the orbit
+    representatives in three stages: by their number of components,
+    gcd(n, r_1, ..., r_k); then by their closed-walk counts
+    (`graphs.closed_walk_counts`); then by their rooted refinement key
+    (`graphs.rooted_refinement_key`).  Each stage keys only the orbits
+    that the previous one left in a bucket of two or more, and the oracle
+    decides isomorphism between every two orbits of a final bucket, whose
+    edge sets alone are built.  An orbit is CI exactly when no other orbit
+    is isomorphic to it.  When a mapping of expected verdicts (jump tuple
+    -> True for CI) is supplied, disagreements are reported on the verdict
+    rows as anomalies -- never raised.  Orders below 2 and sizes outside
+    [1, n/2] are refused.  One DEBUG record on the `circiso.classify`
+    logger gives the orbit count, the keys computed at each stage, the
+    final bucket sizes, the oracle calls, the isomorphic pairs and the
+    elapsed time.
 
-    Isomorphic circulants share the key, so the buckets separate no
+    Isomorphic circulants share all three keys, so the buckets separate no
     isomorphic pair of orbits and the verdicts are those of comparing
     every pair.  Proof: let A be the adjacency matrix of C_n(R) and W_k
     the number of closed walks of length k from vertex 0, (A^k)_00.  The
@@ -382,14 +404,21 @@ def ci_full_census(
     isomorphism onto C_n(S), with adjacency B, is a permutation matrix P
     with B = P A P^T, so B^k = P A^k P^T and tr(B^k) = tr(A^k).  Hence
     C_n(R) and C_n(S) have equal W_k for k = 1..n; they also have equally
-    many components.  The component count adds no split of its own: the
-    traces tr(A^k), k = 1..n, fix the spectrum (Newton's identities), and
-    in a regular graph of degree W_2 the number of components is the
-    multiplicity of the eigenvalue W_2.  It only spares the walk counts
-    of orbits alone in their group.  The key only prunes:
-    isospectral circulants need not be isomorphic (Elspas and Turner,
-    J. Combin. Theory 1970), so the oracle still decides every pair that
-    shares a bucket.
+    many components.  The rooted key is invariant by the proof in its
+    docstring: an isomorphism may be taken to fix 0, and then carries
+    each round's colours onto equal colours.
+
+    Each stage only spares the next one work.  The traces tr(A^k),
+    k = 1..n, fix the spectrum (Newton's identities), and in a regular
+    graph of degree W_2 the number of components is the multiplicity of
+    the eigenvalue W_2, so the walk key refines the component count.  The
+    rooted key refines the walk key: its stable partition is equitable
+    with {0} a cell of its own, so W_k is a function of its quotient
+    matrix.  The final buckets are therefore those of the rooted key
+    alone; the two cheaper stages spare the rooted keys of orbits already
+    alone.  The key only prunes: isospectral circulants need not be
+    isomorphic (Elspas and Turner, J. Combin. Theory 1970), and the oracle
+    still decides every pair that shares a final bucket.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -397,6 +426,7 @@ def ci_full_census(
         raise ValueError(f"size {size} out of range [1, {n // 2}] for order {n}")
     if n > oracle_cap:
         raise ValueError(f"order {n} exceeds the oracle cap {oracle_cap}")
+    start = perf_counter()
     orbits: dict[ConnectionSet, list[ConnectionSet]] = {}
     products = _order_tables(n)[0]
     for _, images, _ in _orbit_minima(n, products, (size,), 0, comb(n // 2, size)):
@@ -407,21 +437,34 @@ def ci_full_census(
     by_components: dict[int, list[ConnectionSet]] = {}
     for rep in reps:
         by_components.setdefault(gcd(n, *rep.jumps), []).append(rep)
-    buckets: list[list[ConnectionSet]] = []
-    for group in by_components.values():
-        if len(group) < 2:
-            continue
-        by_walks: dict[tuple[int, ...], list[ConnectionSet]] = {}
-        for rep in group:
-            by_walks.setdefault(closed_walk_counts(rep), []).append(rep)
-        buckets.extend(bucket for bucket in by_walks.values() if len(bucket) > 1)
+    walk_buckets = _split_buckets(by_components.values(), closed_walk_counts)
+    buckets = _split_buckets(walk_buckets, rooted_refinement_key)
     iso_partners: dict[ConnectionSet, list[ConnectionSet]] = {rep: [] for rep in reps}
+    oracle_calls = isomorphic_pairs = 0
     for bucket in buckets:
         edges = {rep: build_edges(rep) for rep in bucket}
         for a, b in itertools.combinations(bucket, 2):
+            oracle_calls += 1
             if are_isomorphic(edges[a], edges[b], cap=oracle_cap):
+                isomorphic_pairs += 1
                 iso_partners[a].append(b)
                 iso_partners[b].append(a)
+    logger.debug(
+        "ci census n=%(n)d size=%(size)d: %(orbits)d orbits, %(walk_keys)d walk keys, "
+        "%(rooted_keys)d rooted keys, buckets %(buckets)s, %(oracle_calls)d oracle calls, "
+        "%(isomorphic_pairs)d isomorphic pairs, %(elapsed_s).3f s",
+        {
+            "n": n,
+            "size": size,
+            "orbits": len(reps),
+            "walk_keys": sum(len(group) for group in by_components.values() if len(group) > 1),
+            "rooted_keys": sum(map(len, walk_buckets)),
+            "buckets": [len(bucket) for bucket in buckets],
+            "oracle_calls": oracle_calls,
+            "isomorphic_pairs": isomorphic_pairs,
+            "elapsed_s": perf_counter() - start,
+        },
+    )
 
     verdicts = []
     for rep in reps:

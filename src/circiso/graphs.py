@@ -4,7 +4,8 @@ A circulant graph is named by its order n and a reduced jump set
 R subseteq [1, n//2]: vertex x is joined to x +- r (mod n) for every r in R.
 This module materialises such graphs, recognises whether an arbitrary edge
 set is circulant, and computes the periodic cycle structure of a jump and
-the closed-walk counts that key the CI census.
+the two invariants that key the CI census: the closed-walk counts and the
+rooted colour-refinement key.
 """
 
 from __future__ import annotations
@@ -143,6 +144,64 @@ def closed_walk_counts(c: ConnectionSet) -> tuple[int, ...]:
         walks = low + low[n - half - 1 : 0 : -1]
         counts.append(walks[0])
     return tuple(counts)
+
+
+def rooted_refinement_key(c: ConnectionSet) -> tuple:
+    """Colour refinement of C_n(R) with vertex 0 individualised, as a key.
+
+    Vertex 0 starts with colour 0 and every other vertex with colour 1.
+    Each round gives vertex x the signature (colour of x, sorted colours
+    of x + s for s in +-R) and renames the colours by the rank of each
+    signature among the round's sorted distinct signatures.  A vertex's
+    signature begins with its own colour, so the classes only ever split,
+    and the rounds stop when their number stops growing.  The key is the
+    tuple of each round's sorted distinct signatures, plus the final class
+    sizes.  Vertex 0 keeps colour 0 throughout, since its signature sorts
+    first.
+
+    Isomorphic circulants have equal keys.  Proof: let phi be an
+    isomorphism from C_n(R) onto C_n(S).  Rotation by -phi(0) is an
+    automorphism of C_n(S), so we may take phi(0) = 0; then the starting
+    colours satisfy colour_S(phi(x)) = colour_R(x).  If that holds before
+    a round, phi maps the neighbours of x onto those of phi(x), so x and
+    phi(x) get equal signatures, each round has the same sorted distinct
+    signatures on both sides, and the ranks agree again.  The two
+    refinements therefore stop at the same round with equal keys, and
+    phi carries each final class onto one of the same size.
+
+    The key refines `closed_walk_counts`.  The last round splits no
+    class, so all vertices of a class have the same number of neighbours
+    in each class: the final partition is equitable, with {0} a class of
+    its own, and the last round's signatures give its quotient matrix Q.
+    Walks from 0 project onto walks of Q from the class of 0, so
+    W_k = (Q^k)_00, and equal keys give equal walk counts.
+
+    Negation is an automorphism that fixes 0, so by the same induction
+    x and -x always share a colour; each round computes the signatures
+    of x = 0..n//2 only and mirrors the rest.  A round sorts n//2 + 1
+    signatures of |+-R| + 1 colours, and there are at most n - 1 rounds.
+    """
+    n, half = c.n, c.n // 2
+    sym = c.symmetric_jumps()
+    colours = [0] + [1] * (n - 1)
+    rounds = []
+    classes = 2
+    while True:
+        doubled = colours + colours
+        around = zip(*[doubled[s : s + half + 1] for s in sym])
+        signatures = [(own, tuple(sorted(nbrs))) for own, nbrs in zip(colours, around)]
+        distinct = sorted(set(signatures))
+        rank = {signature: i for i, signature in enumerate(distinct)}
+        low = [rank[signature] for signature in signatures]
+        colours = low + low[n - half - 1 : 0 : -1]
+        rounds.append(tuple(distinct))
+        if len(distinct) == classes:
+            break
+        classes = len(distinct)
+    sizes = [0] * classes
+    for colour in colours:
+        sizes[colour] += 1
+    return tuple(rounds), tuple(sizes)
 
 
 def format_connection_set(c: ConnectionSet) -> str:

@@ -17,7 +17,7 @@ from circiso import (
     cycle_structure,
     enumerate_type2,
 )
-from circiso.graphs import closed_walk_counts
+from circiso.graphs import closed_walk_counts, rooted_refinement_key
 from circiso.theta import jump_shortcut, theta_image
 
 
@@ -249,6 +249,63 @@ def walk_key_separates_only_non_isomorphic(max_n: int = 18) -> tuple[list[str], 
                 if are_isomorphic(left, build_edges(ConnectionSet(n, b))):
                     bad.append(f"C_{n}{a} and C_{n}{b} differ in walk counts but are isomorphic")
     return bad, checked
+
+
+def rooted_key_is_invariant(max_n: int = 16, census_orders=(16, 24)) -> list[str]:
+    """rooted_refinement_key(xR) equals rooted_refinement_key(R) for every
+    jump set R at n <= max_n (749 sets at max_n = 16) and every unit
+    1 < x <= n/2 (x and -x give the same set), with unit multiples taken by
+    the package-free `reflexive_jump`; and both sides of every Type-2
+    census pair at the orders `census_orders` have equal keys.  Those pairs
+    are isomorphic by a residue shift, not by a multiplier, so no oracle is
+    needed to know they must agree."""
+    bad = []
+    for n in range(2, max_n + 1):
+        units = [x for x in range(2, n // 2 + 1) if gcd(x, n) == 1]
+        for size in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                key = rooted_refinement_key(ConnectionSet(n, combo))
+                for x in units:
+                    scaled = tuple(sorted({reflexive_jump(n, x * r) for r in combo}))
+                    if rooted_refinement_key(ConnectionSet(n, scaled)) != key:
+                        bad.append(f"rooted key of C_{n}{combo} changes under the unit {x}")
+    for n in census_orders:
+        for left, right in enumerate_type2(n).pairs:
+            if rooted_refinement_key(left) != rooted_refinement_key(right):
+                bad.append(f"Type-2 pair {left}, {right} has unequal rooted keys")
+    return bad
+
+
+def rooted_key_separates_walk_ties(grid) -> tuple[list[str], dict]:
+    """Every two same-size multiplier orbits at (n, size) in `grid` that
+    share their closed-walk counts but differ in rooted refinement key are
+    non-isomorphic per the oracle, which looks at neither key.  Returns
+    the violations and the number of such orbit pairs at each (n, size).
+    Orbits are the package-free `brute_unit_orbit`s, each represented by
+    its smallest member."""
+    bad = []
+    counts = {}
+    for n, size in grid:
+        reps = sorted(
+            {
+                min(brute_unit_orbit(n, combo))
+                for combo in itertools.combinations(range(1, n // 2 + 1), size)
+            }
+        )
+        by_walks = {}
+        for rep in reps:
+            by_walks.setdefault(closed_walk_counts(ConnectionSet(n, rep)), []).append(rep)
+        counts[(n, size)] = 0
+        for tied in by_walks.values():
+            keys = {rep: rooted_refinement_key(ConnectionSet(n, rep)) for rep in tied}
+            for a, b in itertools.combinations(tied, 2):
+                if keys[a] == keys[b]:
+                    continue
+                counts[(n, size)] += 1
+                left = build_edges(ConnectionSet(n, a))
+                if are_isomorphic(left, build_edges(ConnectionSet(n, b))):
+                    bad.append(f"C_{n}{a} and C_{n}{b} differ in rooted key but are isomorphic")
+    return bad, counts
 
 
 def orbit_symmetry(orders=(16, 24)) -> list[str]:

@@ -36,6 +36,7 @@ from suites import (
     jump2_triple_necessity,
     orbit_symmetry,
     residue_kernel_agrees_with_edges,
+    rooted_key_is_invariant,
     shortcut_agrees_with_edges,
     theta_group_law,
     type2_pair_violations,
@@ -199,6 +200,7 @@ def test_criterion_8_property_suites():
     failures += bad
     if checked != 4531:
         failures.append(f"walk-key suite checked {checked} orbit pairs, not 4,531")
+    failures += rooted_key_is_invariant(16, (16, 24))
     elapsed = time.monotonic() - start
     _report(
         8,

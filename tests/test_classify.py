@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import json
-from math import gcd
+import logging
+import os
+import subprocess
+import sys
+from math import comb, gcd
 
 import pytest
 
@@ -16,7 +20,7 @@ from circiso.classify import (
     enumerate_type2,
     type2_partners,
 )
-from circiso.graphs import ConnectionSet, build_edges
+from circiso.graphs import ConnectionSet, build_edges, closed_walk_counts, rooted_refinement_key
 from circiso.oracle import are_isomorphic
 from circiso.report import emit_census
 from circiso.theta import theta_image
@@ -309,13 +313,70 @@ def test_ci_full_census_verdicts_match_recorded_digests():
 
 def test_ci_full_census_keys_only_orbits_that_share_a_component_count(monkeypatch):
     # at size 1 the component count gcd(n, r) tells every orbit apart, so a
-    # large order computes no walk counts and makes no oracle call
+    # large order computes no walk counts, no rooted keys and makes no oracle call
     keyed, decided = [], []
     monkeypatch.setattr(classify_mod, "closed_walk_counts", keyed.append)
+    monkeypatch.setattr(classify_mod, "rooted_refinement_key", keyed.append)
     monkeypatch.setattr(classify_mod, "are_isomorphic", lambda *a, **k: decided.append(a))
     verdicts = ci_full_census(1200, 1, oracle_cap=2000)
     assert len(verdicts) == 29 and all(v.ci for v in verdicts)
     assert keyed == [] and decided == []
+
+
+CI_CENSUS_GRID = ((24, 3), (24, 4), (24, 5), (32, 3))  # the perfbench ci_census pass
+
+
+def test_ci_full_census_oracle_confirms_only_isomorphic_pairs(monkeypatch):
+    # the rooted key separates every non-isomorphic walk tie on the grid, so
+    # each oracle call finds an isomorphism
+    verdicts = []
+
+    def recorder(left, right, **kwargs):
+        verdicts.append(are_isomorphic(left, right, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(classify_mod, "are_isomorphic", recorder)
+    for n, size in CI_CENSUS_GRID:
+        ci_full_census(n, size)
+    assert len(verdicts) == 16 and all(verdicts)
+
+
+@pytest.mark.parametrize("n, size", CI_CENSUS_GRID)
+def test_ci_full_census_roots_only_walk_ties(monkeypatch, n, size):
+    keyed = []
+
+    def recorder(c):
+        keyed.append(c)
+        return rooted_refinement_key(c)
+
+    monkeypatch.setattr(classify_mod, "rooted_refinement_key", recorder)
+    reps = [v.orbit_members[0] for v in ci_full_census(n, size)]
+    walks = [closed_walk_counts(rep) for rep in reps]
+    tied = {rep for rep, walk in zip(reps, walks) if walks.count(walk) > 1}
+    assert sorted(keyed) == sorted(tied) and len(keyed) == len(set(keyed))
+
+
+def test_ci_full_census_prints_nothing_by_default():
+    # a fresh interpreter, so no logging set-up of the test runner applies
+    code = "from circiso.classify import ci_full_census; ci_full_census(24, 4)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+
+
+def test_ci_full_census_debug_record_is_self_consistent(caplog):
+    caplog.set_level(logging.DEBUG, logger="circiso.classify")
+    for n, size in CI_CENSUS_GRID:
+        caplog.clear()
+        verdicts = ci_full_census(n, size)
+        (record,) = [r for r in caplog.records if r.name == "circiso.classify"]
+        stats = record.args
+        assert stats["n"] == n and stats["size"] == size
+        assert stats["orbits"] == len(verdicts)
+        assert stats["rooted_keys"] <= stats["walk_keys"] <= stats["orbits"]
+        assert stats["oracle_calls"] == sum(comb(b, 2) for b in stats["buckets"])
+        assert 2 * stats["isomorphic_pairs"] == sum(len(v.isomorphic_to) for v in verdicts)
+        assert stats["elapsed_s"] >= 0
 
 
 def test_ci_full_census_respects_cap():

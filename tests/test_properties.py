@@ -12,6 +12,8 @@ from suites import (
     jump2_triple_necessity,
     orbit_symmetry,
     residue_kernel_agrees_with_edges,
+    rooted_key_is_invariant,
+    rooted_key_separates_walk_ties,
     shortcut_agrees_with_edges,
     theta_group_law,
     units_commute_with_theta,
@@ -55,6 +57,18 @@ def test_walk_counts_are_adjacency_traces_up_to_16():
 def test_unequal_walk_counts_imply_non_isomorphic_up_to_18():
     bad, checked = walk_key_separates_only_non_isomorphic(18)
     assert bad == [] and checked == 4531
+
+
+def test_rooted_key_is_invariant_under_units_and_type2_pairs():
+    assert rooted_key_is_invariant(16, (16, 24)) == []
+
+
+def test_rooted_key_separates_only_non_isomorphic_walk_ties():
+    # the ci_census benchmark grid is (24, 3..5) and (32, 3)
+    bad, counts = rooted_key_separates_walk_ties(((24, 3), (24, 4), (24, 5), (32, 3), (32, 4)))
+    assert bad == []
+    assert sum(counts.values()) == 35
+    assert sum(counts.values()) - counts[(32, 4)] == 27
 
 
 def test_unequal_signature_implies_non_isomorphic_samples():
