@@ -25,7 +25,7 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from .adam import adam_orbit
-from .graphs import ConnectionSet, build_edges, closed_walk_counts, rooted_refinement_key
+from .graphs import ConnectionSet, build_edges, rooted_refinement_key
 from .modarith import divisors_gt1, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
 from .theta import _mask_jumps, _shift_mask, theta_image
@@ -380,45 +380,39 @@ def ci_full_census(
     """Oracle-backed CI census of all size-`size` jump sets of order n.
 
     Groups the sets into multiplier orbits and buckets the orbit
-    representatives in three stages: by their number of components,
-    gcd(n, r_1, ..., r_k); then by their closed-walk counts
-    (`graphs.closed_walk_counts`); then by their rooted refinement key
-    (`graphs.rooted_refinement_key`).  Each stage keys only the orbits
-    that the previous one left in a bucket of two or more, and the oracle
-    decides isomorphism between every two orbits of a final bucket, whose
-    edge sets alone are built.  An orbit is CI exactly when no other orbit
-    is isomorphic to it.  When a mapping of expected verdicts (jump tuple
-    -> True for CI) is supplied, disagreements are reported on the verdict
-    rows as anomalies -- never raised.  Orders below 2 and sizes outside
-    [1, n/2] are refused.  One DEBUG record on the `circiso.classify`
-    logger gives the orbit count, the keys computed at each stage, the
-    final bucket sizes, the oracle calls, the isomorphic pairs and the
-    elapsed time.
+    representatives in two stages: by their number of components,
+    gcd(n, r_1, ..., r_k); then, within every group of two or more, by
+    their rooted refinement key (`graphs.rooted_refinement_key`).  The
+    oracle decides isomorphism between every two orbits of a final
+    bucket, whose edge sets alone are built.  An orbit is CI exactly when
+    no other orbit is isomorphic to it.  When a mapping of expected
+    verdicts (jump tuple -> True for CI) is supplied, disagreements are
+    reported on the verdict rows as anomalies -- never raised.  Orders
+    below 2 and sizes outside [1, n/2] are refused.  One DEBUG record on
+    the `circiso.classify` logger gives the orbit count, the rooted keys
+    computed, the final bucket sizes, the oracle calls, the isomorphic
+    pairs and the elapsed time.
 
-    Isomorphic circulants share all three keys, so the buckets separate no
+    Isomorphic circulants share both keys, so the buckets separate no
     isomorphic pair of orbits and the verdicts are those of comparing
-    every pair.  Proof: let A be the adjacency matrix of C_n(R) and W_k
-    the number of closed walks of length k from vertex 0, (A^k)_00.  The
-    rotation x -> x + v is an automorphism carrying 0 to v, so
-    (A^k)_vv = W_k for every vertex v and W_k = tr(A^k)/n.  An
-    isomorphism onto C_n(S), with adjacency B, is a permutation matrix P
-    with B = P A P^T, so B^k = P A^k P^T and tr(B^k) = tr(A^k).  Hence
-    C_n(R) and C_n(S) have equal W_k for k = 1..n; they also have equally
-    many components.  The rooted key is invariant by the proof in its
-    docstring: an isomorphism may be taken to fix 0, and then carries
-    each round's colours onto equal colours.
+    every pair.  Proof: an isomorphism is a bijection on vertices and
+    edges, so it carries components onto components.  The rooted key is
+    invariant by the proof in its docstring: an isomorphism may be taken
+    to fix 0, since rotations are automorphisms, and then it carries each
+    round's colours onto equal colours.
 
-    Each stage only spares the next one work.  The traces tr(A^k),
-    k = 1..n, fix the spectrum (Newton's identities), and in a regular
-    graph of degree W_2 the number of components is the multiplicity of
-    the eigenvalue W_2, so the walk key refines the component count.  The
-    rooted key refines the walk key: its stable partition is equitable
-    with {0} a cell of its own, so W_k is a function of its quotient
-    matrix.  The final buckets are therefore those of the rooted key
-    alone; the two cheaper stages spare the rooted keys of orbits already
-    alone.  The key only prunes: isospectral circulants need not be
-    isomorphic (Elspas and Turner, J. Combin. Theory 1970), and the oracle
-    still decides every pair that shares a final bucket.
+    The component count only spares keys: at size 1 it tells every orbit
+    apart, so no key is computed.  It splits nothing the rooted key leaves
+    together.  The rooted key refines the closed-walk counts
+    W_k = (A^k)_00, k = 1..n, of the adjacency matrix A (proof in its
+    docstring).  In a circulant W_k = tr(A^k)/n, as rotations carry 0 to
+    every vertex; the traces fix the spectrum (Newton's identities), and
+    in a regular graph of degree W_2 the number of components is the
+    multiplicity of the eigenvalue W_2.  The final buckets are therefore
+    those of the rooted key alone.  The key only prunes:
+    isospectral circulants need not be isomorphic (Elspas and Turner,
+    J. Combin. Theory 1970), and the oracle still decides every pair
+    that shares a final bucket.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -437,8 +431,7 @@ def ci_full_census(
     by_components: dict[int, list[ConnectionSet]] = {}
     for rep in reps:
         by_components.setdefault(gcd(n, *rep.jumps), []).append(rep)
-    walk_buckets = _split_buckets(by_components.values(), closed_walk_counts)
-    buckets = _split_buckets(walk_buckets, rooted_refinement_key)
+    buckets = _split_buckets(by_components.values(), rooted_refinement_key)
     iso_partners: dict[ConnectionSet, list[ConnectionSet]] = {rep: [] for rep in reps}
     oracle_calls = isomorphic_pairs = 0
     for bucket in buckets:
@@ -450,15 +443,14 @@ def ci_full_census(
                 iso_partners[a].append(b)
                 iso_partners[b].append(a)
     logger.debug(
-        "ci census n=%(n)d size=%(size)d: %(orbits)d orbits, %(walk_keys)d walk keys, "
-        "%(rooted_keys)d rooted keys, buckets %(buckets)s, %(oracle_calls)d oracle calls, "
+        "ci census n=%(n)d size=%(size)d: %(orbits)d orbits, %(rooted_keys)d rooted keys, "
+        "buckets %(buckets)s, %(oracle_calls)d oracle calls, "
         "%(isomorphic_pairs)d isomorphic pairs, %(elapsed_s).3f s",
         {
             "n": n,
             "size": size,
             "orbits": len(reps),
-            "walk_keys": sum(len(group) for group in by_components.values() if len(group) > 1),
-            "rooted_keys": sum(map(len, walk_buckets)),
+            "rooted_keys": sum(len(group) for group in by_components.values() if len(group) > 1),
             "buckets": [len(bucket) for bucket in buckets],
             "oracle_calls": oracle_calls,
             "isomorphic_pairs": isomorphic_pairs,

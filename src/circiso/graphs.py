@@ -118,8 +118,8 @@ def gcd_signature(c: ConnectionSet) -> tuple[int, ...]:
     """The sorted multiset {gcd(n, r) : r in jumps}.
 
     Not a certificate, and no longer used by any correctness path: the CI
-    census buckets by `closed_walk_counts`, a proven invariant.  It stays
-    exported only because the benchmark under `perfbench/` traces it.
+    census buckets by `rooted_refinement_key`, a proven invariant.  It
+    stays exported only because the benchmark under `perfbench/` traces it.
     """
     return tuple(sorted(gcd(c.n, r) for r in c.jumps))
 
@@ -133,7 +133,8 @@ def closed_walk_counts(c: ConnectionSet) -> tuple[int, ...]:
     to the sum of walks[j - s] over s in +-R.  Negation maps +-R onto
     itself, so walks[j] = walks[-j] at every length; each step computes
     j = 0..n//2 only and mirrors the rest.  A key costs O(n^2 * |+-R|)
-    additions.
+    additions.  The CI census does not bucket by it: `rooted_refinement_key`
+    refines it and costs less.
     """
     n, half = c.n, c.n // 2
     sym = c.symmetric_jumps()

@@ -20,7 +20,7 @@ from circiso.classify import (
     enumerate_type2,
     type2_partners,
 )
-from circiso.graphs import ConnectionSet, build_edges, closed_walk_counts, rooted_refinement_key
+from circiso.graphs import ConnectionSet, build_edges, rooted_refinement_key
 from circiso.oracle import are_isomorphic
 from circiso.report import emit_census
 from circiso.theta import theta_image
@@ -313,9 +313,8 @@ def test_ci_full_census_verdicts_match_recorded_digests():
 
 def test_ci_full_census_keys_only_orbits_that_share_a_component_count(monkeypatch):
     # at size 1 the component count gcd(n, r) tells every orbit apart, so a
-    # large order computes no walk counts, no rooted keys and makes no oracle call
+    # large order computes no rooted key and makes no oracle call
     keyed, decided = [], []
-    monkeypatch.setattr(classify_mod, "closed_walk_counts", keyed.append)
     monkeypatch.setattr(classify_mod, "rooted_refinement_key", keyed.append)
     monkeypatch.setattr(classify_mod, "are_isomorphic", lambda *a, **k: decided.append(a))
     verdicts = ci_full_census(1200, 1, oracle_cap=2000)
@@ -342,7 +341,7 @@ def test_ci_full_census_oracle_confirms_only_isomorphic_pairs(monkeypatch):
 
 
 @pytest.mark.parametrize("n, size", CI_CENSUS_GRID)
-def test_ci_full_census_roots_only_walk_ties(monkeypatch, n, size):
+def test_ci_full_census_roots_only_component_ties(monkeypatch, n, size):
     keyed = []
 
     def recorder(c):
@@ -351,8 +350,8 @@ def test_ci_full_census_roots_only_walk_ties(monkeypatch, n, size):
 
     monkeypatch.setattr(classify_mod, "rooted_refinement_key", recorder)
     reps = [v.orbit_members[0] for v in ci_full_census(n, size)]
-    walks = [closed_walk_counts(rep) for rep in reps]
-    tied = {rep for rep, walk in zip(reps, walks) if walks.count(walk) > 1}
+    components = [gcd(n, *rep.jumps) for rep in reps]
+    tied = {rep for rep, count in zip(reps, components) if components.count(count) > 1}
     assert sorted(keyed) == sorted(tied) and len(keyed) == len(set(keyed))
 
 
@@ -373,7 +372,7 @@ def test_ci_full_census_debug_record_is_self_consistent(caplog):
         stats = record.args
         assert stats["n"] == n and stats["size"] == size
         assert stats["orbits"] == len(verdicts)
-        assert stats["rooted_keys"] <= stats["walk_keys"] <= stats["orbits"]
+        assert stats["rooted_keys"] <= stats["orbits"]
         assert stats["oracle_calls"] == sum(comb(b, 2) for b in stats["buckets"])
         assert 2 * stats["isomorphic_pairs"] == sum(len(v.isomorphic_to) for v in verdicts)
         assert stats["elapsed_s"] >= 0
