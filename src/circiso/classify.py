@@ -17,7 +17,7 @@ separately.
 from __future__ import annotations
 
 import itertools
-import logging
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -29,8 +29,6 @@ from .graphs import ConnectionSet, build_edges, rooted_refinement_key
 from .modarith import divisors_gt1, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
 from .theta import _mask_jumps, _shift_mask, theta_image
-
-logger = logging.getLogger(__name__)
 
 Probe = tuple[int, int]  # (m, t)
 Pair = tuple[ConnectionSet, ConnectionSet]  # lexicographically ordered
@@ -358,15 +356,15 @@ def confirm_with_oracle(census: PairCensus, cap: int = DEFAULT_CAP) -> PairCensu
 
 
 def _split_buckets(groups, key: Callable) -> list[list[ConnectionSet]]:
-    """Split every group of two or more by `key`, keeping the parts of two
-    or more; `key` runs on no member of a smaller group."""
+    """Split every group of two or more by the hash of `key`, keeping the
+    parts of two or more; `key` runs on no member of a smaller group."""
     parts: list[list[ConnectionSet]] = []
     for group in groups:
         if len(group) < 2:
             continue
-        by_key: dict = {}
+        by_key: dict[int, list[ConnectionSet]] = {}
         for rep in group:
-            by_key.setdefault(key(rep), []).append(rep)
+            by_key.setdefault(hash(key(rep)), []).append(rep)
         parts.extend(part for part in by_key.values() if len(part) > 1)
     return parts
 
@@ -382,7 +380,9 @@ def ci_full_census(
     Groups the sets into multiplier orbits and buckets the orbit
     representatives in two stages: by their number of components,
     gcd(n, r_1, ..., r_k); then, within every group of two or more, by
-    their rooted refinement key (`graphs.rooted_refinement_key`).  The
+    the hash of their rooted refinement key
+    (`graphs.rooted_refinement_key`), so the bucket table holds one
+    integer per key rather than every round's signatures.  The
     oracle decides isomorphism between every two orbits of a final
     bucket, whose edge sets alone are built.  An orbit is CI exactly when
     no other orbit is isomorphic to it.  When a mapping of expected
@@ -391,7 +391,9 @@ def ci_full_census(
     below 2 and sizes outside [1, n/2] are refused.  One DEBUG record on
     the `circiso.classify` logger gives the orbit count, the rooted keys
     computed, the final bucket sizes, the oracle calls, the isomorphic
-    pairs and the elapsed time.
+    pairs and the elapsed time.  The census never imports `logging`: a
+    program that has not imported it cannot have enabled DEBUG, so the
+    record is then skipped.
 
     Isomorphic circulants share both keys, so the buckets separate no
     isomorphic pair of orbits and the verdicts are those of comparing
@@ -399,7 +401,9 @@ def ci_full_census(
     edges, so it carries components onto components.  The rooted key is
     invariant by the proof in its docstring: an isomorphism may be taken
     to fix 0, since rotations are automorphisms, and then it carries each
-    round's colours onto equal colours.
+    round's colours onto equal colours.  Equal keys have equal hashes, so
+    keying by the hash splits no isomorphic pair either; a collision only
+    merges two buckets, and the oracle still decides every pair in it.
 
     The component count only spares keys: at size 1 it tells every orbit
     apart, so no key is computed.  It splits nothing the rooted key leaves
@@ -442,21 +446,25 @@ def ci_full_census(
                 isomorphic_pairs += 1
                 iso_partners[a].append(b)
                 iso_partners[b].append(a)
-    logger.debug(
-        "ci census n=%(n)d size=%(size)d: %(orbits)d orbits, %(rooted_keys)d rooted keys, "
-        "buckets %(buckets)s, %(oracle_calls)d oracle calls, "
-        "%(isomorphic_pairs)d isomorphic pairs, %(elapsed_s).3f s",
-        {
-            "n": n,
-            "size": size,
-            "orbits": len(reps),
-            "rooted_keys": sum(len(group) for group in by_components.values() if len(group) > 1),
-            "buckets": [len(bucket) for bucket in buckets],
-            "oracle_calls": oracle_calls,
-            "isomorphic_pairs": isomorphic_pairs,
-            "elapsed_s": perf_counter() - start,
-        },
-    )
+    logging = sys.modules.get("logging")  # only a program that imported it can enable DEBUG
+    if logging is not None:
+        logging.getLogger(__name__).debug(
+            "ci census n=%(n)d size=%(size)d: %(orbits)d orbits, %(rooted_keys)d rooted keys, "
+            "buckets %(buckets)s, %(oracle_calls)d oracle calls, "
+            "%(isomorphic_pairs)d isomorphic pairs, %(elapsed_s).3f s",
+            {
+                "n": n,
+                "size": size,
+                "orbits": len(reps),
+                "rooted_keys": sum(
+                    len(group) for group in by_components.values() if len(group) > 1
+                ),
+                "buckets": [len(bucket) for bucket in buckets],
+                "oracle_calls": oracle_calls,
+                "isomorphic_pairs": isomorphic_pairs,
+                "elapsed_s": perf_counter() - start,
+            },
+        )
 
     verdicts = []
     for rep in reps:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import classify as classify_mod
@@ -172,6 +173,7 @@ def _cmd_scale(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the `circiso` command line; `main` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="circiso",
         description="Classify circulant-graph isomorphisms and enumerate Type-2 pairs.",
@@ -254,9 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit status.
+
+    Every call parses with one parser per process, built on the first call;
+    the subcommand handlers are bound once, when that parser is built.
+    """
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from circiso import cli
 from circiso.cli import main
 
 
@@ -277,3 +281,34 @@ def test_parameter_violations_exit_code(capsys):
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_one_parser_serves_every_command_of_a_process(capsys):
+    good = ("theta-table", "--n", "108", "--m", "3", "--set", "1,3,35,37")
+    code, first, _ = run_cli(capsys, *good)
+    assert code == 0 and first
+    with pytest.raises(SystemExit) as refused:
+        main(["frobnicate"])
+    assert refused.value.code == 2
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "theta", "--n", "24", "--m", "5", "--t", "1", "--set", "1,2,3")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    with pytest.raises(SystemExit) as helped:
+        main(["--help"])
+    assert helped.value.code == 0
+    capsys.readouterr()
+    code, again, _ = run_cli(capsys, *good)
+    assert code == 0 and again.encode() == first.encode()
+
+
+def test_main_reuses_one_parser_and_build_parser_stays_fresh():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_importing_the_cli_leaves_logging_unimported():
+    # a fresh interpreter, so no module the test runner imported is counted
+    code = "import sys, circiso.cli; assert 'logging' not in sys.modules, 'logging imported'"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, b"")
