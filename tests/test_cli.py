@@ -285,6 +285,7 @@ def test_unknown_subcommand_rejected():
 
 def test_one_parser_serves_every_command_of_a_process(capsys):
     good = ("theta-table", "--n", "108", "--m", "3", "--set", "1,3,35,37")
+    before = cli._parser.cache_info()
     code, first, _ = run_cli(capsys, *good)
     assert code == 0 and first
     with pytest.raises(SystemExit) as refused:
@@ -299,6 +300,9 @@ def test_one_parser_serves_every_command_of_a_process(capsys):
     capsys.readouterr()
     code, again, _ = run_cli(capsys, *good)
     assert code == 0 and again.encode() == first.encode()
+    after = cli._parser.cache_info()
+    assert after.hits + after.misses - before.hits - before.misses == 5
+    assert after.currsize == 1
 
 
 def test_main_reuses_one_parser_and_build_parser_stays_fresh():
