@@ -31,16 +31,14 @@ from .families import (
 )
 from .graphs import (
     ConnectionSet,
-    CycleStructure,
     EdgeSet,
     build_edges,
-    cycle_structure,
     detect_circulant,
     format_connection_set,
     gcd_signature,
     parse_connection_sets,
 )
-from .modarith import DegenerateSetError, divisors_gt1, reduce_set, reflexive_reduce, unit_group
+from .modarith import DegenerateSetError, divisors_gt1, reduce_set, reflexive_reduce
 from .oracle import OracleCapError, are_isomorphic
 from .report import emit_census, parse_census_json, render_theta_table, theta_table_rows
 from .theta import ThetaMap, ThetaResult, apply_to_edges, jump_shortcut, theta_image
@@ -50,7 +48,6 @@ __all__ = [
     "CIStatus",
     "ClassificationRecord",
     "ConnectionSet",
-    "CycleStructure",
     "DegenerateSetError",
     "EdgeSet",
     "FamilyInstance",
@@ -68,7 +65,6 @@ __all__ = [
     "ci_theta_status",
     "classify_pair",
     "confirm_with_oracle",
-    "cycle_structure",
     "detect_circulant",
     "divisors_gt1",
     "emit_census",
@@ -91,7 +87,6 @@ __all__ = [
     "theta_image",
     "theta_table_rows",
     "type2_partners",
-    "unit_group",
     "verify_instance",
 ]
 

@@ -8,10 +8,12 @@ and 1 <= t <= n/m - 1.  Its outcome is one of:
   type1          the image is a unit multiple of the source (witness unit);
   type2          the image is circulant but outside the multiplier orbit.
 
-The census runs every probe for every jump set of an order and collects the
-unordered Type-2 pairs.  Deduplication is over pairs of jump sets, not pairs
-of multiplier orbits: distinct set pairs spanning the same two orbits count
-separately.
+The census collects the unordered Type-2 pairs of an order.  It probes one
+jump set per multiplier orbit, the orbit minimum, and carries every pair
+found to all unit multiples; the lemma in `enumerate_type2` proves this
+gives the pairs of running every probe on every jump set.  Deduplication
+is over pairs of jump sets, not pairs of multiplier orbits: distinct set
+pairs spanning the same two orbits count separately.
 """
 
 from __future__ import annotations

@@ -180,9 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_set_args(p, with_n=True):
-        if with_n:
-            p.add_argument("--n", type=int, required=True, help="graph order")
+    def add_set_args(p):
+        p.add_argument("--n", type=int, required=True, help="graph order")
         p.add_argument("--set", required=True, help="jump set literal, e.g. 1,2,7")
 
     p = sub.add_parser("reduce", help="reflexively reduce a jump set")

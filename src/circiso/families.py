@@ -92,46 +92,38 @@ def family_m3(n: int) -> FamilyInstance:
     )
 
 
-def family_m5(n: int) -> FamilyInstance:
-    """Order-125n five-cycle: R_i = {5, d_i, 25n+-d_i, 50n+-d_i}, d_i = 5n(i-1)+1."""
+def _p_cycle_family(kind: str, p: int, n: int) -> FamilyInstance:
+    """Order-p^3 n p-cycle stepped by t = n (m = p), for an odd prime p:
+    R_i = {p, d_i, j*p^2*n -+ d_i for j = 1..(p-1)/2}, d_i = p*n*(i-1) + 1."""
     if n < 1:
         raise ValueError(f"parameter n must be >= 1, got {n}")
-    order = 125 * n
+    order = p**3 * n
     raw = []
-    for i in range(1, 6):
-        d = 5 * n * (i - 1) + 1
-        raw.append((5, d, 25 * n - d, 25 * n + d, 50 * n - d, 50 * n + d))
+    for i in range(1, p + 1):
+        d = p * n * (i - 1) + 1
+        values = [p, d]
+        for j in range(1, (p + 1) // 2):
+            values += (j * p * p * n - d, j * p * p * n + d)
+        raw.append(tuple(values))
     return FamilyInstance(
-        kind="m5",
+        kind=kind,
         order=order,
-        m=5,
+        m=p,
         params={"n": n},
         sets=tuple(ConnectionSet.reduce(order, values) for values in raw),
         raw_sets=tuple(raw),
         expected_t=(n,),
     )
+
+
+def family_m5(n: int) -> FamilyInstance:
+    """Order-125n five-cycle: R_i = {5, d_i, 25n+-d_i, 50n+-d_i}, d_i = 5n(i-1)+1."""
+    return _p_cycle_family("m5", 5, n)
 
 
 def family_m7(n: int) -> FamilyInstance:
     """Order-343n seven-cycle: R_i = {7, d_i, 49n+-d_i, 98n+-d_i, 147n+-d_i}."""
-    if n < 1:
-        raise ValueError(f"parameter n must be >= 1, got {n}")
-    order = 343 * n
-    raw = []
-    for i in range(1, 8):
-        d = 7 * n * (i - 1) + 1
-        raw.append(
-            (7, d, 49 * n - d, 49 * n + d, 98 * n - d, 98 * n + d, 147 * n - d, 147 * n + d)
-        )
-    return FamilyInstance(
-        kind="m7",
-        order=order,
-        m=7,
-        params={"n": n},
-        sets=tuple(ConnectionSet.reduce(order, values) for values in raw),
-        raw_sets=tuple(raw),
-        expected_t=(n,),
-    )
+    return _p_cycle_family("m7", 7, n)
 
 
 def scale_pair(r: ConnectionSet, s: ConnectionSet, k: int) -> tuple[ConnectionSet, ConnectionSet]:

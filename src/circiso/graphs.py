@@ -3,9 +3,8 @@
 A circulant graph is named by its order n and a reduced jump set
 R subseteq [1, n//2]: vertex x is joined to x +- r (mod n) for every r in R.
 This module materialises such graphs, recognises whether an arbitrary edge
-set is circulant, and computes the periodic cycle structure of a jump and
-the two invariants that key the CI census: the closed-walk counts and the
-rooted colour-refinement key.
+set is circulant, and computes the rooted colour-refinement key that
+buckets the CI census.
 """
 
 from __future__ import annotations
@@ -64,15 +63,6 @@ class EdgeSet:
                 raise ValueError(f"edge ({u}, {v}) invalid for order {self.n}")
 
 
-@dataclass(frozen=True)
-class CycleStructure:
-    """Count and length of the disjoint cycles traced by a single jump."""
-
-    period: int
-    count: int
-    length: int
-
-
 def _edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
@@ -106,14 +96,6 @@ def detect_circulant(n: int, e: EdgeSet):
     return candidate if build_edges(candidate).edges == e.edges else None
 
 
-def cycle_structure(n: int, r: int) -> CycleStructure:
-    """Cycle count and length for the jump r: gcd(n, r) cycles of length n/gcd."""
-    if not 1 <= r <= n // 2:
-        raise ValueError(f"jump {r} out of range for order {n}")
-    g = gcd(n, r)
-    return CycleStructure(period=r, count=g, length=n // g)
-
-
 def gcd_signature(c: ConnectionSet) -> tuple[int, ...]:
     """The sorted multiset {gcd(n, r) : r in jumps}.
 
@@ -122,29 +104,6 @@ def gcd_signature(c: ConnectionSet) -> tuple[int, ...]:
     stays exported only because the benchmark under `perfbench/` traces it.
     """
     return tuple(sorted(gcd(c.n, r) for r in c.jumps))
-
-
-def closed_walk_counts(c: ConnectionSet) -> tuple[int, ...]:
-    """The numbers of closed walks of length k = 1..n from vertex 0 of C_n(R).
-
-    A dynamic programme over Z_n: after k steps walks[j] is the number of
-    walks of length k from 0 to j, the coefficient of x^j in P(x)^k mod
-    x^n - 1 with P the sum of x^s over s in +-R.  One more step sets it
-    to the sum of walks[j - s] over s in +-R.  Negation maps +-R onto
-    itself, so walks[j] = walks[-j] at every length; each step computes
-    j = 0..n//2 only and mirrors the rest.  A key costs O(n^2 * |+-R|)
-    additions.  The CI census does not bucket by it: `rooted_refinement_key`
-    refines it and costs less.
-    """
-    n, half = c.n, c.n // 2
-    sym = c.symmetric_jumps()
-    walks, counts = [1] + [0] * (n - 1), []
-    for _ in range(n):
-        doubled = walks + walks
-        low = list(map(sum, zip(*[doubled[n - s : n - s + half + 1] for s in sym])))
-        walks = low + low[n - half - 1 : 0 : -1]
-        counts.append(walks[0])
-    return tuple(counts)
 
 
 def rooted_refinement_key(c: ConnectionSet) -> tuple:
@@ -170,12 +129,14 @@ def rooted_refinement_key(c: ConnectionSet) -> tuple:
     refinements therefore stop at the same round with equal keys, and
     phi carries each final class onto one of the same size.
 
-    The key refines `closed_walk_counts`.  The last round splits no
-    class, so all vertices of a class have the same number of neighbours
-    in each class: the final partition is equitable, with {0} a class of
-    its own, and the last round's signatures give its quotient matrix Q.
-    Walks from 0 project onto walks of Q from the class of 0, so
-    W_k = (Q^k)_00, and equal keys give equal walk counts.
+    The key refines the closed-walk counts W_k from vertex 0, k = 1..n
+    (the walk-count reference helper in `tests/suites.py`, whose suites
+    check this).  The last round splits no class, so all vertices of a
+    class have the same number of neighbours in each class: the final
+    partition is equitable, with {0} a class of its own, and the last
+    round's signatures give its quotient matrix Q.  Walks from 0 project
+    onto walks of Q from the class of 0, so W_k = (Q^k)_00, and equal
+    keys give equal walk counts.
 
     Negation is an automorphism that fixes 0, so by the same induction
     x and -x always share a colour; each round computes the signatures

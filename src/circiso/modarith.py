@@ -1,4 +1,4 @@
-"""Exact modular arithmetic over Z_n: reflexive reduction, unit groups, divisors.
+"""Exact modular arithmetic over Z_n: reflexive reduction and divisors.
 
 Every value handled here is a plain Python int; all functions are pure and
 total unless stated otherwise.  "Reflexive" reduction folds residues above
@@ -6,8 +6,6 @@ n/2 onto their mirror image n - v, so results always land in [0, n//2].
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 
 class DegenerateSetError(ValueError):
@@ -39,13 +37,6 @@ def reduce_set(n: int, values) -> tuple[int, ...]:
     if not reduced:
         raise DegenerateSetError(f"all of {list(values)} reduce to 0 mod {n}")
     return tuple(sorted(reduced))
-
-
-def unit_group(n: int) -> tuple[int, ...]:
-    """All x in [1, n) with gcd(n, x) = 1, ascending."""
-    if n < 2:
-        raise ValueError(f"order must be >= 2, got {n}")
-    return tuple(x for x in range(1, n) if gcd(n, x) == 1)
 
 
 def divisors_gt1(k: int) -> list[int]:

@@ -15,13 +15,13 @@ calls it directly on masks; `theta_image` is a thin adapter over it
 (ConnectionSet -> mask -> ThetaResult), and `classify.classify_pair` is
 the single probe classifier built on that: shift tables and the CLI take
 their verdicts from there, so they refuse an m that divides gcd(n, r) for
-no jump r.  The edge-level `apply_to_edges` and
-`graphs.detect_circulant` stay as the definition the closed form is tested
-against.  `jump_shortcut` (circulant iff the elementwise image of the
-symmetric jump set is closed under negation; its negatives are conclusive,
-but it is exact only for m = 2) and `shortcut_disagreement` have no caller
-in the package: they survive only because the benchmark under `perfbench/`
-traces them.
+no jump r.  The closed form is tested against the edge-level definition
+in `tests/suites.py` (`edge_level_image`), which shares no code with the
+package.  The edge-level `apply_to_edges`, `jump_shortcut` (circulant iff
+the elementwise image of the symmetric jump set is closed under negation;
+its negatives are conclusive, but it is exact only for m = 2) and
+`shortcut_disagreement` have no caller in the package: they survive only
+because the benchmark under `perfbench/` traces them.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ class ThetaMap:
     def apply(self, x: int) -> int:
         return (x + (x % self.m) * self.t * self.m) % self.n
 
-    def perm(self) -> tuple[int, ...]:
-        """The full permutation of Z_n as a lookup table."""
-        return tuple(self.apply(x) for x in range(self.n))
-
 
 @dataclass(frozen=True)
 class ThetaResult:
@@ -70,10 +66,9 @@ def apply_to_edges(tm: ThetaMap, e: EdgeSet) -> EdgeSet:
     """Push every edge through the vertex bijection (edge count is preserved)."""
     if e.n != tm.n:
         raise ValueError(f"edge set order {e.n} does not match map order {tm.n}")
-    perm = tm.perm()
     out = set()
     for u, v in e.edges:
-        a, b = perm[u], perm[v]
+        a, b = tm.apply(u), tm.apply(v)
         out.add((a, b) if a < b else (b, a))
     return EdgeSet(tm.n, frozenset(out))
 

@@ -14,10 +14,9 @@ from circiso import (
     adam_orbit,
     are_isomorphic,
     build_edges,
-    cycle_structure,
     enumerate_type2,
 )
-from circiso.graphs import closed_walk_counts, rooted_refinement_key
+from circiso.graphs import rooted_refinement_key
 from circiso.theta import jump_shortcut, theta_image
 
 
@@ -50,6 +49,28 @@ def edge_level_image(n: int, m: int, t: int, jumps):
     zero_nbrs = {v for edge in image if 0 in edge for v in edge if v != 0}
     candidate = tuple(sorted({reflexive_jump(n, v) for v in zero_nbrs}))
     return candidate if circulant_edge_set(n, candidate) == image else None
+
+
+def closed_walk_counts(n: int, jumps) -> tuple[int, ...]:
+    """The numbers of closed walks of length k = 1..n from vertex 0 of
+    C_n(jumps).
+
+    A dynamic programme over Z_n: after k steps walks[j] is the number of
+    walks of length k from 0 to j, the coefficient of x^j in P(x)^k mod
+    x^n - 1 with P the sum of x^s over s in +-jumps.  One more step sets
+    it to the sum of walks[j - s] over s in +-jumps.  Negation maps
+    +-jumps onto itself, so walks[j] = walks[-j] at every length; each
+    step computes j = 0..n//2 only and mirrors the rest.
+    """
+    half = n // 2
+    sym = {r % n for r in jumps} | {-r % n for r in jumps}
+    walks, counts = [1] + [0] * (n - 1), []
+    for _ in range(n):
+        doubled = walks + walks
+        low = list(map(sum, zip(*[doubled[n - s : n - s + half + 1] for s in sym])))
+        walks = low + low[n - half - 1 : 0 : -1]
+        counts.append(walks[0])
+    return tuple(counts)
 
 
 def brute_unit_orbit(n: int, jumps) -> set[tuple[int, ...]]:
@@ -92,7 +113,7 @@ def theta_group_law(max_n: int = 48) -> list[str]:
             if n % m:
                 continue
             q = n // m
-            perms = [ThetaMap(n, m, t).perm() for t in range(q)]
+            perms = [tuple(map(ThetaMap(n, m, t).apply, range(n))) for t in range(q)]
             for t1 in range(q):
                 p1 = perms[t1]
                 for t2 in range(q):
@@ -107,30 +128,6 @@ def theta_group_law(max_n: int = 48) -> list[str]:
                 walk = [step[x] for x in walk]
             if walk != list(range(n)):
                 bad.append(f"iterate order fails at n={n}, m={m}")
-    return bad
-
-
-def cycle_structure_vs_trace(max_n: int = 40) -> list[str]:
-    """Jump-r cycle counts and lengths must agree with explicitly traced
-    orbits of the rotation x -> x + r, for all n <= max_n and all jumps."""
-    bad = []
-    for n in range(2, max_n + 1):
-        for r in range(1, n // 2 + 1):
-            seen = set()
-            cycles = []
-            for start in range(n):
-                if start in seen:
-                    continue
-                cycle = []
-                x = start
-                while x not in seen:
-                    seen.add(x)
-                    cycle.append(x)
-                    x = (x + r) % n
-                cycles.append(cycle)
-            cs = cycle_structure(n, r)
-            if len(cycles) != cs.count or any(len(c) != cs.length for c in cycles):
-                bad.append(f"trace mismatch at n={n}, r={r}")
     return bad
 
 
@@ -217,7 +214,7 @@ def walk_counts_match_traces(max_n: int = 16) -> list[str]:
     for n in range(2, max_n + 1):
         for size in range(1, n // 2 + 1):
             for combo in itertools.combinations(range(1, n // 2 + 1), size):
-                counts = closed_walk_counts(ConnectionSet(n, combo))
+                counts = closed_walk_counts(n, combo)
                 if [n * w for w in counts] != adjacency_power_traces(n, combo):
                     bad.append(f"walk counts differ from traces at n={n}, R={combo}")
     return bad
@@ -240,7 +237,7 @@ def walk_key_separates_only_non_isomorphic(max_n: int = 18) -> tuple[list[str], 
                     for combo in itertools.combinations(range(1, n // 2 + 1), size)
                 }
             )
-            keys = {rep: closed_walk_counts(ConnectionSet(n, rep)) for rep in reps}
+            keys = {rep: closed_walk_counts(n, rep) for rep in reps}
             for a, b in itertools.combinations(reps, 2):
                 if keys[a] == keys[b]:
                     continue
@@ -294,7 +291,7 @@ def rooted_key_separates_walk_ties(grid) -> tuple[list[str], dict]:
         )
         by_walks = {}
         for rep in reps:
-            by_walks.setdefault(closed_walk_counts(ConnectionSet(n, rep)), []).append(rep)
+            by_walks.setdefault(closed_walk_counts(n, rep), []).append(rep)
         counts[(n, size)] = 0
         for tied in by_walks.values():
             keys = {rep: rooted_refinement_key(ConnectionSet(n, rep)) for rep in tied}

@@ -32,7 +32,6 @@ from reference_data import (
     THETA_TABLES_24,
 )
 from suites import (
-    cycle_structure_vs_trace,
     jump2_triple_necessity,
     orbit_symmetry,
     residue_kernel_agrees_with_edges,
@@ -189,7 +188,6 @@ def test_criterion_8_property_suites():
     start = time.monotonic()
     failures = []
     failures += theta_group_law(48)
-    failures += cycle_structure_vs_trace(40)
     failures += shortcut_agrees_with_edges((16, 24), 4)
     failures += residue_kernel_agrees_with_edges(20)
     failures += units_commute_with_theta(20)

@@ -68,6 +68,26 @@ def test_family_m7_substitution():
     assert fi.sets[0].jumps == (1, 7, 48, 50, 97, 99, 146, 148)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_family_m5_m7_match_their_written_formulas(n):
+    # each family's formula written out in full, d = p*n*(i-1) + 1 for i = 1..p
+    m5 = [
+        (5, d, 25 * n - d, 25 * n + d, 50 * n - d, 50 * n + d)
+        for d in (5 * n * (i - 1) + 1 for i in range(1, 6))
+    ]
+    m7 = [
+        (7, d, 49 * n - d, 49 * n + d, 98 * n - d, 98 * n + d, 147 * n - d, 147 * n + d)
+        for d in (7 * n * (i - 1) + 1 for i in range(1, 8))
+    ]
+    for fi, kind, p, raw in ((family_m5(n), "m5", 5, m5), (family_m7(n), "m7", 7, m7)):
+        order = p**3 * n
+        assert (fi.kind, fi.order, fi.m, fi.params) == (kind, order, p, {"n": n})
+        assert fi.raw_sets == tuple(raw)
+        reduced = [tuple(sorted({min(v % order, -v % order) for v in r})) for r in raw]
+        assert [c.jumps for c in fi.sets] == reduced
+        assert fi.expected_t == (n,)
+
+
 @pytest.mark.parametrize("kind, n, s", [("m2", 2, 1), ("m2", 3, 1), ("m3", 1, None), ("m5", 1, None), ("m7", 1, None)])
 def test_verify_instance_passes(kind, n, s):
     fi = generate(kind, n, s=s)

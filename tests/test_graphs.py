@@ -6,7 +6,6 @@ from circiso.graphs import (
     ConnectionSet,
     EdgeSet,
     build_edges,
-    cycle_structure,
     detect_circulant,
     format_connection_set,
     gcd_signature,
@@ -71,21 +70,6 @@ def test_detect_circulant_round_trip_exhaustive_small():
             for combo in itertools.combinations(range(1, n // 2 + 1), size):
                 c = ConnectionSet(n, combo)
                 assert detect_circulant(n, build_edges(c)) == c
-
-
-@pytest.mark.parametrize(
-    "n, r, count, length",
-    [
-        (16, 2, 2, 8),
-        (9, 1, 1, 9),
-        (24, 10, 2, 12),
-        (24, 12, 12, 2),
-    ],
-)
-def test_cycle_structure(n, r, count, length):
-    cs = cycle_structure(n, r)
-    assert (cs.count, cs.length) == (count, length)
-    assert cs.count * cs.length == n
 
 
 @pytest.mark.parametrize(

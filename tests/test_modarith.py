@@ -5,7 +5,6 @@ from circiso.modarith import (
     divisors_gt1,
     reduce_set,
     reflexive_reduce,
-    unit_group,
 )
 
 
@@ -64,28 +63,6 @@ def test_reduce_set_idempotent():
         for values in ([1, 5, 7, 20], [3, 6, 9], [n - 1, n + 1, 2 * n + 3]):
             once = reduce_set(n, values)
             assert reduce_set(n, once) == once
-
-
-@pytest.mark.parametrize(
-    "n, expected",
-    [
-        (24, (1, 5, 7, 11, 13, 17, 19, 23)),
-        (2, (1,)),
-        (16, (1, 3, 5, 7, 9, 11, 13, 15)),
-    ],
-)
-def test_unit_group(n, expected):
-    assert unit_group(n) == expected
-
-
-def test_unit_group_closed_with_inverses():
-    for n in (8, 12, 15, 24, 27):
-        units = set(unit_group(n))
-        assert 1 in units
-        for x in units:
-            assert any(x * y % n == 1 for y in units)
-            for y in units:
-                assert x * y % n in units
 
 
 @pytest.mark.parametrize(

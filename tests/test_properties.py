@@ -8,7 +8,6 @@ from circiso.graphs import ConnectionSet, EdgeSet, build_edges, detect_circulant
 from circiso.oracle import are_isomorphic
 
 from suites import (
-    cycle_structure_vs_trace,
     jump2_triple_necessity,
     orbit_symmetry,
     residue_kernel_agrees_with_edges,
@@ -24,10 +23,6 @@ from suites import (
 
 def test_theta_group_law_up_to_48():
     assert theta_group_law(48) == []
-
-
-def test_cycle_structure_vs_trace_up_to_40():
-    assert cycle_structure_vs_trace(40) == []
 
 
 def test_shortcut_agrees_with_edge_level_exhaustively():
@@ -73,7 +68,7 @@ def test_rooted_key_separates_only_non_isomorphic_walk_ties():
 
 def test_unequal_signature_implies_non_isomorphic_samples():
     # The gcd signature no longer backs the CI census, which buckets by
-    # closed-walk counts; this keeps the signature's own claim checked
+    # the rooted refinement key; this keeps the signature's own claim checked
     # while the benchmark still traces it.  The oracle never looks at
     # signatures: every pair of same-size multiplier orbits at n <= 18
     # (4,240 pairs with unequal signatures), then random samples above.
