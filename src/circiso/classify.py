@@ -30,7 +30,7 @@ from .adam import adam_orbit
 from .graphs import ConnectionSet, build_edges, rooted_refinement_key
 from .modarith import divisors_gt1, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
-from .theta import _mask_jumps, _shift_mask, theta_image
+from .theta import _class_parts, _least_period, _mask_jumps, _rotate_classes, theta_image
 
 Probe = tuple[int, int]  # (m, t)
 Pair = tuple[ConnectionSet, ConnectionSet]  # lexicographically ordered
@@ -157,29 +157,59 @@ def ci_status_of_records(c: ConnectionSet, records) -> CIStatus:
     return CIStatus(graph=c, verdict="ci-theta")
 
 
+def _byte_table(h: int, bits: Callable[[int], int]) -> Callable[[int], int]:
+    """A jump-mask multiplier for jumps 1..h: maps a byte key c << 8 | b
+    (`_byte_keys`) to the OR of bits(r) over the jumps r = 8c + j + 1,
+    r <= h, whose bit j is set in the byte b.  When the bits of distinct
+    jumps are disjoint, the image of a whole mask is the sum over its byte
+    keys."""
+    table: list[int] = []
+    for start in range(0, h, 8):
+        chunk = [0]
+        for b in range(1, 256):
+            low = b & -b
+            r = start + low.bit_length()
+            chunk.append(chunk[b ^ low] | (bits(r) if r <= h else 0))
+        table += chunk
+    return table.__getitem__
+
+
+def _byte_keys(v: int, h: int) -> list[int]:
+    """The byte keys c << 8 | (byte c of v) of a jump mask v of h bits."""
+    return [v >> s & 255 | s << 5 for s in range(0, h, 8)]
+
+
 @lru_cache(maxsize=8)
-def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple[tuple[int, int], ...]]:
+def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int, ...]]:
     """Lookup tables of the mask census for order n: (products, symmetric,
-    moduli).
+    moduli, primes).
 
     A jump mask has bit r - 1 set for each jump r in [1, n/2]; the integer
     order of masks is the scan order.  A symmetric mask has bit s set for
-    each s in +-R, as `theta._shift_mask` reads it.  `products` maps jump
-    r to the jump-mask bit of x*r, one map per unit x <= n/2 (1 first);
-    `symmetric` maps jump r to the bits of r and n - r; `moduli` pairs
-    each m | n with 1 < m <= n/2 with the mask of the jumps m divides.
+    each s in +-R, as `theta._shift_mask` reads it.  Both multiply a jump
+    mask through byte tables (`_byte_table`), one lookup per byte of the
+    mask: `products` holds one per unit x <= n/2 (1 first), mapping the
+    jump r to the jump-mask bit of x*r, and `symmetric` maps r to the bits
+    of r and n - r.  The images of distinct jumps are distinct bits in
+    both (a unit permutes the reflexive jumps), so a sum of lookups is
+    their OR.  `moduli` holds, for each m | n with 1 < m <= n/2, the
+    triple (m, jump mask of the jumps m divides, n-bit mask of the
+    multiples of m in Z_n); `primes` are the prime divisors of n.
     """
     h = n // 2
     products = tuple(
-        ([0] + [1 << (reflexive_reduce(n, x * r) - 1) for r in range(1, h + 1)]).__getitem__
+        _byte_table(h, lambda r, x=x: 1 << (reflexive_reduce(n, x * r) - 1))
         for x in range(1, h + 1)
         if gcd(n, x) == 1
     )
-    symmetric = ([0] + [1 << r | 1 << (n - r) for r in range(1, h + 1)]).__getitem__
+    symmetric = _byte_table(h, lambda r: 1 << r | 1 << (n - r))
     moduli = tuple(
-        (m, sum(1 << (r - 1) for r in range(m, h + 1, m))) for m in divisors_gt1(n) if m <= h
+        (m, sum(1 << (r - 1) for r in range(m, h + 1, m)), ((1 << n) - 1) // ((1 << m) - 1))
+        for m in divisors_gt1(n)
+        if m <= h
     )
-    return products, symmetric, moduli
+    primes = tuple(p for p in divisors_gt1(n) if divisors_gt1(p) == [p])
+    return products, symmetric, moduli, primes
 
 
 def _unrank(k: int, rank: int) -> int:
@@ -197,16 +227,18 @@ def _unrank(k: int, rank: int) -> int:
 
 
 def _orbit_minima(n: int, products, sizes, start: int, stop: int):
-    """Yield (v, images, jumps) for every multiplier-orbit minimum among
+    """Yield (v, images, keys) for every multiplier-orbit minimum among
     positions [start, stop) of the scan order: all jump masks with a size
     in `sizes`, size by size, each size in integer order.
 
     v is a minimum when no unit multiple of it is a smaller mask, a test
-    on v alone; `images` lists the unit multiples of v, one per entry of
-    `products` (see `_order_tables`), so it holds the whole orbit.
+    on v alone; `images` lists the unit multiples of v, one per byte table
+    of `products` (see `_order_tables`), so it holds the whole orbit, and
+    `keys` are the byte keys of v (`_byte_keys`) that multiplied it.
     """
     h = n // 2
     others = products[1:]  # units other than 1
+    starts = range(0, h, 8)
     offset = 0
     for k in sizes:
         count = comb(h, k)
@@ -216,15 +248,15 @@ def _orbit_minima(n: int, products, sizes, start: int, stop: int):
             continue
         v = _unrank(k, lo)
         for _ in range(hi - lo):
-            jumps = _mask_jumps(v)
+            keys = [v >> s & 255 | s << 5 for s in starts]  # _byte_keys(v, h), inlined
             images = [v]
             for product in others:
-                w = sum(map(product, jumps))  # unit images of distinct jumps are distinct bits
+                w = sum(map(product, keys))
                 if w < v:
                     break
                 images.append(w)
             else:
-                yield v, images, jumps
+                yield v, images, keys
             low = v & -v  # next mask of the same size (Gosper)
             ripple = v + low
             v = ripple | ((v ^ ripple) >> 2) // low
@@ -234,33 +266,53 @@ def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
     """Type-2 pairs of jump masks found from the orbit minima in one range
     of the scan order, with their witnesses (picklable worker entry).
 
-    Each minimum R is probed once per admissible (m, t); a circulant image
-    S outside the orbit of R (which holds R, so self images are out too) is
+    Each minimum R is probed at every admissible m, and only at the t
+    whose image is circulant: the multiples of q = d / gcd(d, m^2), d the
+    least period of A = {s in +-R : m does not divide s}
+    (`theta._least_period`, whose docstring proves it).  Each of those
+    images is built by `theta._rotate_classes`.  A circulant image S
+    outside the orbit of R (which holds R, so self images are out too) is
     a Type-2 partner, and (xR, xS) is recorded with the same witness for
-    every unit x <= n/2 (x and n - x give the same reduced set).
+    every unit x <= n/2 (x and n - x give the same reduced set); both
+    sides are multiplied through the byte tables of `_order_tables`.
+
+    When the image S_1 at t = q lies in the orbit, S_1 = xR for a unit x,
+    no later t of that m gives a partner, so the scan of m stops.  Proof:
+    by the group law theta_{m,jq} = theta_{m,q}^j, so S_{j+1} is the
+    image of C_n(S_j) under theta_{m,q}.  If S_j = x^j R, the lemma of
+    `enumerate_type2` (units commute with theta) makes that image
+    x^j * S_1 = x^(j+1) R, circulant because the probe of R is.  So every
+    S_j = x^j R lies in the orbit.
     """
     n, sizes, start, stop = args
-    products, symmetric, moduli = _order_tables(n)
-    low_half = (1 << n // 2) - 1
+    products, symmetric, moduli, primes = _order_tables(n)
+    h = n // 2
+    low_half = (1 << h) - 1
     found: dict[tuple[int, int], set[Probe]] = {}
-    for v, images, jumps in _orbit_minima(n, products, sizes, start, stop):
+    for v, images, keys in _orbit_minima(n, products, sizes, start, stop):
         orbit = set(images)
-        a = sum(map(symmetric, jumps))
+        a = sum(map(symmetric, keys))
         partners: dict[int, list[Probe]] = {}
-        for m, divisible in moduli:
+        for m, divisible, mult in moduli:
             if not v & divisible:
                 continue
-            for t in range(1, n // m):
-                image = _shift_mask(n, m, t, a)
-                if image is None:
-                    continue
-                w = image >> 1 & low_half
+            fixed = a & mult
+            moving = a ^ fixed
+            d = _least_period(n, primes, moving)
+            q = d // gcd(d, m * m)
+            if q >= n // m:
+                continue
+            parts = _class_parts(m, mult, moving)
+            for t in range(q, n // m, q):
+                w = _rotate_classes(n, t * m, fixed, parts) >> 1 & low_half
                 if w not in orbit:
                     partners.setdefault(w, []).append((m, t))
+                elif t == q:
+                    break  # then every image of this m is in the orbit
         for w, probes in partners.items():
-            partner_jumps = _mask_jumps(w)
+            partner_keys = _byte_keys(w, h)
             for vx, product in zip(images, products):
-                wx = sum(map(product, partner_jumps))
+                wx = sum(map(product, partner_keys))
                 found.setdefault((vx, wx) if vx < wx else (wx, vx), set()).update(probes)
     return found
 

@@ -7,21 +7,28 @@ graph it sometimes lands on another circulant graph; when that image lies
 outside the source's multiplier orbit the two graphs witness a Type-2
 isomorphism.
 
-The mask kernel `_shift_mask` is the single circulance test.  It decides a
-probe from the jump set alone, as a bit mask of +-R, by the closed form
-proved in its docstring: one rotation compare for circulance, one
-rotation per residue class for the image.  The census in `classify`
-calls it directly on masks; `theta_image` is a thin adapter over it
-(ConnectionSet -> mask -> ThetaResult), and `classify.classify_pair` is
-the single probe classifier built on that: shift tables and the CLI take
-their verdicts from there, so they refuse an m that divides gcd(n, r) for
-no jump r.  The closed form is tested against the edge-level definition
-in `tests/suites.py` (`edge_level_image`), which shares no code with the
-package.  The edge-level `apply_to_edges`, `jump_shortcut` (circulant iff
-the elementwise image of the symmetric jump set is closed under negation;
-its negatives are conclusive, but it is exact only for m = 2) and
-`shortcut_disagreement` have no caller in the package: they survive only
-because the benchmark under `perfbench/` traces them.
+The mask kernel `_shift_mask` decides a probe from the jump set alone, as
+a bit mask of +-R, by the closed form proved in its docstring: the image
+is circulant iff the jumps A of +-R that m does not divide are closed
+under +t*m^2, one rotation compare (`_closed_under`), and the image then
+rotates each residue class i by i*t*m (`_rotate_classes`, the one image
+builder).  The census in `classify` decides every t of a modulus at once:
+the circulant shifts are the multiples of one q derived from the least
+period of A (`_least_period`, proof in its docstring), and it builds only
+their images, with the same builder.  `theta_image` is a thin adapter
+over `_shift_mask` (ConnectionSet -> mask -> ThetaResult), and
+`classify.classify_pair` is the single probe classifier built on that:
+shift tables and the CLI take their verdicts from there, so they refuse
+an m that divides gcd(n, r) for no jump r.  The closed form is tested
+against the edge-level definition in `tests/suites.py`
+(`edge_level_image`), which shares no code with the package, and the
+least-period shifts against `_shift_mask` at every t
+(`least_period_decides_shifts`).  The edge-level `apply_to_edges`,
+`jump_shortcut` (circulant iff the elementwise image of the symmetric
+jump set is closed under negation; its negatives are conclusive, but it
+is exact only for m = 2) and `shortcut_disagreement` have no caller in
+the package: they survive only because the benchmark under `perfbench/`
+traces them.
 """
 
 from __future__ import annotations
@@ -73,16 +80,82 @@ def apply_to_edges(tm: ThetaMap, e: EdgeSet) -> EdgeSet:
     return EdgeSet(tm.n, frozenset(out))
 
 
+def _closed_under(n: int, v: int, k: int) -> bool:
+    """Whether the subset of Z_n with mask v (bit s for element s) is
+    closed under s -> s + k, for 0 <= k < n: the rotation compare
+    rot(v, k) == v.  A finite set closed under +k is mapped onto itself,
+    so it is also closed under -k."""
+    return (v << k | v >> (n - k)) & ((1 << n) - 1) == v
+
+
+def _least_period(n: int, primes, v: int) -> int:
+    """The least period d of the subset of Z_n with mask v: the least
+    d >= 1 with v closed under +d.  `primes` are the prime divisors of n.
+
+    Used on A = {s in +-R : m does not divide s} it decides every shift of
+    a modulus at once: the probe (m, t) is circulant iff d divides t*m^2,
+    that is iff t is a multiple of q = d / gcd(d, m^2).
+
+    Proof.  The stabiliser H = {k in Z_n : A + k = A} is a subgroup of
+    Z_n: it holds 0, and A + k = A with A + k' = A gives A + (k + k') = A
+    and A - k = A.  Every subgroup of Z_n is dZ_n for one divisor d of n,
+    the least period, so for a divisor e of n, A is closed under +e iff
+    d | e, and for any k, closure under +k is closure under +gcd(k, n).
+    The loop starts from e = n, which d divides, and divides e by a prime
+    p of n while A stays closed under +e/p, that is while d | e/p.  It
+    ends with d | e and d not dividing e/p for any prime p of e, so e/d
+    has no prime factor and e = d.  By the criterion of `_shift_mask` the
+    probe (m, t) is circulant iff A is closed under +t*m^2 (mod n), iff
+    t*m^2 mod n lies in dZ_n, iff d | t*m^2 (as d | n), iff
+    d / gcd(d, m^2) divides t.  The same set of t follows from the group
+    law theta_{m,t} o theta_{m,t'} = theta_{m,t+t'}: the shifts t with
+    t*m^2 in H are the preimage of H under the homomorphism t -> t*m^2.
+    """
+    d = n
+    for p in primes:
+        while d % p == 0 and _closed_under(n, v, d // p):
+            d //= p
+    return d
+
+
+def _class_parts(m: int, mult: int, moving: int) -> list[tuple[int, int]]:
+    """The nonempty residue classes i = 1..m-1 of the mask `moving`, as
+    (i, bits of class i); `mult` is the mask of the multiples of m."""
+    return [(i, part) for i in range(1, m) if (part := moving & mult << i)]
+
+
+def _rotate_classes(n: int, shift: int, image: int, parts) -> int:
+    """The image builder: `image` ORed with every (i, part) of `parts`
+    rotated by i*shift (mod n).
+
+    With shift = t*m, `image` the bits of +-R divisible by m and `parts`
+    the other residue classes of +-R (`_class_parts`), this is the mask
+    of theta(+-R), theta(s) = s + (s mod m)*t*m; when the probe (m, t) is
+    circulant (criterion in `_shift_mask`) the image graph is C_n of it.
+
+    Proof.  theta keeps s mod m and adds i*t*m to every s of class i, so
+    on masks it fixes class 0 and rotates class i by i*t*m, and distinct
+    classes stay disjoint.  In the image, vertex 0 = theta(0) is adjacent
+    to theta(s) for s in +-R (theta(s) - theta(0) = theta(s), as class 0
+    is fixed), so when the image is circulant its neighbour offsets at
+    vertex 0, theta(+-R), are its symmetric jump set.
+    """
+    full = (1 << n) - 1
+    for i, part in parts:
+        k = i * shift % n
+        image |= (part << k | part >> (n - k)) & full
+    return image
+
+
 def _shift_mask(n: int, m: int, t: int, a: int) -> Optional[int]:
     """The residue-shift kernel on a symmetric jump mask: bit s of `a` set
     for every s in +-R.  Returns the mask of +-S with C_n(S) the image of
     C_n(R) under theta_{n,m,t}, or None when that image is not circulant.
 
     Criterion: the image is circulant iff A = {s in +-R : m does not divide s}
-    is closed under s -> s + t*m^2 (mod n), which on masks is the rotation
-    compare rot(A, t*m^2) == A; it is then C_n(theta(+-R)), with
-    theta(s) = s + (s mod m)*t*m, so its mask is the OR over residue
-    classes i of class i's bits of `a` rotated by i*t*m.
+    is closed under s -> s + t*m^2 (mod n), one rotation compare
+    (`_closed_under`); the image is then C_n(theta(+-R)), built by
+    `_rotate_classes`.
 
     Proof.  theta keeps residues mod m and translates class i by i*t*m, so
     a vertex y in class i has the neighbour offsets D_i = {theta(s) -
@@ -92,20 +165,12 @@ def _shift_mask(n: int, m: int, t: int, a: int) -> Optional[int]:
     -t*m^2, which for a finite set is the same as closure under +t*m^2.
     Jumps divisible by m are fixed, so they never break circulance.
     """
-    full = (1 << n) - 1
-    mult = full // ((1 << m) - 1)  # the bits at multiples of m, as m | n
-    image = a & mult
-    moving = a ^ image
-    step = t * m * m % n
-    if step and (moving << step | moving >> (n - step)) & full != moving:
+    mult = ((1 << n) - 1) // ((1 << m) - 1)  # the bits at multiples of m, as m | n
+    fixed = a & mult
+    moving = a ^ fixed
+    if not _closed_under(n, moving, t * m * m % n):
         return None
-    shift = t * m
-    for i in range(1, m):
-        part = moving & (mult << i)
-        if part:
-            k = i * shift % n
-            image |= (part << k | part >> (n - k)) & full
-    return image
+    return _rotate_classes(n, t * m, fixed, _class_parts(m, mult, moving))
 
 
 def theta_image(c: ConnectionSet, m: int, t: int) -> ThetaResult:

@@ -16,8 +16,16 @@ from circiso import (
     build_edges,
     enumerate_type2,
 )
+from circiso.classify import _byte_keys, _order_tables, _orbit_minima
 from circiso.graphs import rooted_refinement_key
-from circiso.theta import jump_shortcut, theta_image
+from circiso.theta import (
+    _class_parts,
+    _least_period,
+    _rotate_classes,
+    _shift_mask,
+    jump_shortcut,
+    theta_image,
+)
 
 
 # Package-free reference helpers.  They use the standard library only and
@@ -29,6 +37,11 @@ def reflexive_jump(n: int, v: int) -> int:
     """Reflexive reduction of v mod n: the representative in [0, n/2]."""
     w = v % n
     return min(w, n - w)
+
+
+def bits_mask(elements) -> int:
+    """The bit mask with bit e set for every element e."""
+    return sum(1 << e for e in set(elements))
 
 
 def circulant_edge_set(n: int, jumps) -> frozenset:
@@ -187,6 +200,90 @@ def units_commute_with_theta(max_n: int = 20) -> list[str]:
                         want = None if image is None else times(n, x, image.jumps)
                         if (got.jumps if got else None) != want:
                             bad.append(f"x={x} does not commute at n={n}, R={combo}, m={m}, t={t}")
+    return bad
+
+
+def least_period_decides_shifts(max_n: int = 20) -> list[str]:
+    """For every n <= max_n, every jump set R and every m | n with
+    1 < m < n, with A = {s in +-R : m does not divide s}: `_least_period`
+    returns the least d >= 1 with A + d = A, found here by trying every d;
+    the t in [1, n/m - 1] that are multiples of q = d / gcd(d, m^2) are
+    exactly those with `_shift_mask(n, m, t, a)` not None; and at each of
+    them the census's image (`_rotate_classes` over `_class_parts`) and
+    the kernel's image both equal the mask of the elementwise image
+    {s + (s mod m)*t*m : s in +-R}, computed here.  Also, when the image
+    at t = q lies in the `brute_unit_orbit` of R, the images at every
+    multiple of q do too (the census then stops scanning that m)."""
+    bad = []
+    for n in range(2, max_n + 1):
+        primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % f for f in range(2, p))]
+        moduli = [m for m in range(2, n) if n % m == 0]
+        for size in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                sym = {r % n for r in combo} | {-r % n for r in combo}
+                a = bits_mask(sym)
+                for m in moduli:
+                    moving_set = {s for s in sym if s % m}
+                    period = next(
+                        d
+                        for d in range(1, n + 1)
+                        if {(s + d) % n for s in moving_set} == moving_set
+                    )
+                    moving = bits_mask(moving_set)
+                    where = f"n={n}, R={combo}, m={m}"
+                    if _least_period(n, primes, moving) != period:
+                        bad.append(f"least period differs at {where}")
+                    q = period // gcd(period, m * m)
+                    kernel = {t: _shift_mask(n, m, t, a) for t in range(1, n // m)}
+                    circulant = {t for t, image in kernel.items() if image is not None}
+                    if circulant != {t for t in kernel if t % q == 0}:
+                        bad.append(f"circulant shifts are not the multiples of {q} at {where}")
+                    parts = _class_parts(m, bits_mask(range(0, n, m)), moving)
+                    in_orbit = []
+                    for t in range(q, n // m, q):
+                        want = bits_mask((s + (s % m) * t * m) % n for s in sym)
+                        census = _rotate_classes(n, t * m, a ^ moving, parts)
+                        if not census == kernel[t] == want:
+                            bad.append(f"images differ at {where}, t={t}")
+                        jumps = tuple(s for s in range(1, n // 2 + 1) if want >> s & 1)
+                        in_orbit.append(jumps in brute_unit_orbit(n, combo))
+                    if in_orbit[:1] == [True] and not all(in_orbit):
+                        bad.append(f"first image in the orbit but a later one not at {where}")
+    return bad
+
+
+def byte_tables_match_units(max_n: int = 24) -> list[str]:
+    """For every n <= max_n and every nonempty jump mask v (bit r - 1 for
+    jump r): the byte tables of `_order_tables` give, for every unit
+    x <= n/2 in increasing order, the mask of the multiple x*R taken with
+    `reflexive_jump`, and the symmetric mask of +-R; and `_orbit_minima`
+    over all sizes yields exactly the masks that are the smallest mask in
+    their `brute_unit_orbit`, each with its whole orbit."""
+    bad = []
+    for n in range(2, max_n + 1):
+        h = n // 2
+        products, symmetric, _, _ = _order_tables(n)
+        units = [x for x in range(1, h + 1) if gcd(x, n) == 1]
+        minima = set()
+        for v in range(1, 1 << h):
+            jumps = [r for r in range(1, h + 1) if v >> (r - 1) & 1]
+            keys = _byte_keys(v, h)
+            for x, product in zip(units, products):
+                want = bits_mask(reflexive_jump(n, x * r) - 1 for r in jumps)
+                if sum(map(product, keys)) != want:
+                    bad.append(f"unit {x} table differs at n={n}, R={tuple(jumps)}")
+            want = bits_mask({r % n for r in jumps} | {-r % n for r in jumps})
+            if sum(map(symmetric, keys)) != want:
+                bad.append(f"symmetric table differs at n={n}, R={tuple(jumps)}")
+            orbit = {bits_mask(r - 1 for r in member) for member in brute_unit_orbit(n, jumps)}
+            if v == min(orbit):
+                minima.add((v, frozenset(orbit)))
+        yielded = {
+            (v, frozenset(images))
+            for v, images, _ in _orbit_minima(n, products, range(1, h + 1), 0, (1 << h) - 1)
+        }
+        if yielded != minima:
+            bad.append(f"orbit minima differ at n={n}")
     return bad
 
 

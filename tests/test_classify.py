@@ -180,10 +180,12 @@ def test_census_closure_and_determinism():
 
 def test_census_parallel_matches_serial():
     # n = 24 has 64 pairs and n = 27 has 72 (all m = 3), so two jobs split
-    # nonempty censuses across their range boundary.
-    for n in (24, 27):
+    # nonempty censuses across their range boundary; at n = 32 three jobs
+    # split ranges that cross jump-set sizes, each worker building its own
+    # byte tables.
+    for n, jobs in ((24, 2), (27, 2), (32, 3)):
         serial = enumerate_type2(n)
-        parallel = enumerate_type2(n, jobs=2)
+        parallel = enumerate_type2(n, jobs=jobs)
         assert parallel.pairs == serial.pairs
         assert parallel.witnesses == serial.witnesses
 

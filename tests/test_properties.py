@@ -8,7 +8,9 @@ from circiso.graphs import ConnectionSet, EdgeSet, build_edges, detect_circulant
 from circiso.oracle import are_isomorphic
 
 from suites import (
+    byte_tables_match_units,
     jump2_triple_necessity,
+    least_period_decides_shifts,
     orbit_symmetry,
     residue_kernel_agrees_with_edges,
     rooted_key_is_invariant,
@@ -31,6 +33,14 @@ def test_shortcut_agrees_with_edge_level_exhaustively():
 
 def test_residue_kernel_agrees_with_edge_level_up_to_20():
     assert residue_kernel_agrees_with_edges(20) == []
+
+
+def test_least_period_decides_every_shift_up_to_20():
+    assert least_period_decides_shifts(20) == []
+
+
+def test_byte_tables_and_orbit_minima_up_to_24():
+    assert byte_tables_match_units(24) == []
 
 
 def test_units_commute_with_theta_up_to_20():
