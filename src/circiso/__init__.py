@@ -34,7 +34,6 @@ from .graphs import (
     EdgeSet,
     build_edges,
     detect_circulant,
-    format_connection_set,
     gcd_signature,
     parse_connection_sets,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "family_m3",
     "family_m5",
     "family_m7",
-    "format_connection_set",
     "gcd_signature",
     "jump_shortcut",
     "multiply_set",

@@ -23,7 +23,6 @@ class AdamOrbit:
     (the smallest), so reports can print the `S = xR` justification.
     """
 
-    base: ConnectionSet
     members: tuple[ConnectionSet, ...]
     witness: dict[ConnectionSet, int]
 
@@ -54,7 +53,7 @@ def adam_orbit(c: ConnectionSet) -> AdamOrbit:
         if image not in witness:
             witness[image] = x
     members = tuple(sorted(witness))
-    return AdamOrbit(base=c, members=members, witness=witness)
+    return AdamOrbit(members=members, witness=witness)
 
 
 def same_adam_orbit(a: ConnectionSet, b: ConnectionSet) -> bool:

@@ -40,7 +40,6 @@ Pair = tuple[ConnectionSet, ConnectionSet]  # lexicographically ordered
 class ClassificationRecord:
     """Verdict for one (R, m, t) probe."""
 
-    source: ConnectionSet
     m: int
     t: int
     kind: str  # 'not-circulant' | 'self' | 'type1' | 'type2'
@@ -66,7 +65,6 @@ class PairCensus:
 class CIStatus:
     """Whether every probe image of a graph stays in its multiplier orbit."""
 
-    graph: ConnectionSet
     verdict: str  # 'ci-theta' | 'non-ci'
     evidence: tuple[tuple[ConnectionSet, int, int], ...] = ()
 
@@ -106,13 +104,13 @@ def classify_pair(c: ConnectionSet, m: int, t: int) -> ClassificationRecord:
         raise ValueError(f"shift t={t} out of range [1, {c.n // m - 1}]")
     s = theta_image(c, m, t).image
     if s is None:
-        return ClassificationRecord(c, m, t, "not-circulant")
+        return ClassificationRecord(m, t, "not-circulant")
     if s == c:
-        return ClassificationRecord(c, m, t, "self", image=s)
+        return ClassificationRecord(m, t, "self", image=s)
     orbit = adam_orbit(c)
     if s in orbit.witness:
-        return ClassificationRecord(c, m, t, "type1", image=s, unit=orbit.witness[s])
-    return ClassificationRecord(c, m, t, "type2", image=s)
+        return ClassificationRecord(m, t, "type1", image=s, unit=orbit.witness[s])
+    return ClassificationRecord(m, t, "type2", image=s)
 
 
 def require_three_jumps(c: ConnectionSet, allow_small: bool = False) -> None:
@@ -146,15 +144,15 @@ def ci_theta_status(c: ConnectionSet, allow_small: bool = False) -> CIStatus:
     This matches the probe-based evidence standard: only residue-shift
     images are examined, not arbitrary isomorphisms.
     """
-    return ci_status_of_records(c, probe_records(c, allow_small=allow_small))
+    return ci_status_of_records(probe_records(c, allow_small=allow_small))
 
 
-def ci_status_of_records(c: ConnectionSet, records) -> CIStatus:
+def ci_status_of_records(records) -> CIStatus:
     """The `ci_theta_status` verdict from already computed probe records."""
     partners = _type2_evidence(records)
     if partners:
-        return CIStatus(graph=c, verdict="non-ci", evidence=tuple(partners))
-    return CIStatus(graph=c, verdict="ci-theta")
+        return CIStatus(verdict="non-ci", evidence=tuple(partners))
+    return CIStatus(verdict="ci-theta")
 
 
 def _byte_table(h: int, bits: Callable[[int], int]) -> Callable[[int], int]:
@@ -212,24 +210,9 @@ def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int
     return products, symmetric, moduli, primes
 
 
-def _unrank(k: int, rank: int) -> int:
-    """The k-bit mask with the given rank among all k-bit masks in integer
-    order (the combinatorial number system: rank = sum of C(c_i, i) over
-    its bit positions c_1 < ... < c_k)."""
-    v = 0
-    for i in range(k, 0, -1):
-        c = i - 1
-        while comb(c + 1, i) <= rank:
-            c += 1
-        v |= 1 << c
-        rank -= comb(c, i)
-    return v
-
-
-def _orbit_minima(n: int, products, sizes, start: int, stop: int):
-    """Yield (v, images, keys) for every multiplier-orbit minimum among
-    positions [start, stop) of the scan order: all jump masks with a size
-    in `sizes`, size by size, each size in integer order.
+def _orbit_minima(n: int, products, k: int):
+    """Yield (v, images, keys) for every multiplier-orbit minimum among the
+    jump masks of size k, scanned in integer order from (1 << k) - 1.
 
     v is a minimum when no unit multiple of it is a smaller mask, a test
     on v alone; `images` lists the unit multiples of v, one per byte table
@@ -239,32 +222,25 @@ def _orbit_minima(n: int, products, sizes, start: int, stop: int):
     h = n // 2
     others = products[1:]  # units other than 1
     starts = range(0, h, 8)
-    offset = 0
-    for k in sizes:
-        count = comb(h, k)
-        lo, hi = max(start - offset, 0), min(stop - offset, count)
-        offset += count
-        if lo >= hi:
-            continue
-        v = _unrank(k, lo)
-        for _ in range(hi - lo):
-            keys = [v >> s & 255 | s << 5 for s in starts]  # _byte_keys(v, h), inlined
-            images = [v]
-            for product in others:
-                w = sum(map(product, keys))
-                if w < v:
-                    break
-                images.append(w)
-            else:
-                yield v, images, keys
-            low = v & -v  # next mask of the same size (Gosper)
-            ripple = v + low
-            v = ripple | ((v ^ ripple) >> 2) // low
+    v = (1 << k) - 1
+    for _ in range(comb(h, k)):
+        keys = [v >> s & 255 | s << 5 for s in starts]  # _byte_keys(v, h), inlined
+        images = [v]
+        for product in others:
+            w = sum(map(product, keys))
+            if w < v:
+                break
+            images.append(w)
+        else:
+            yield v, images, keys
+        low = v & -v  # next mask of the same size (Gosper)
+        ripple = v + low
+        v = ripple | ((v ^ ripple) >> 2) // low
 
 
 def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
-    """Type-2 pairs of jump masks found from the orbit minima in one range
-    of the scan order, with their witnesses (picklable worker entry).
+    """Type-2 pairs of jump masks found from the orbit minima of one jump-set
+    size, with their witnesses (picklable worker entry).
 
     Each minimum R is probed at every admissible m, and only at the t
     whose image is circulant: the multiples of q = d / gcd(d, m^2), d the
@@ -284,12 +260,12 @@ def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
     x^j * S_1 = x^(j+1) R, circulant because the probe of R is.  So every
     S_j = x^j R lies in the orbit.
     """
-    n, sizes, start, stop = args
+    n, k = args
     products, symmetric, moduli, primes = _order_tables(n)
     h = n // 2
     low_half = (1 << h) - 1
     found: dict[tuple[int, int], set[Probe]] = {}
-    for v, images, keys in _orbit_minima(n, products, sizes, start, stop):
+    for v, images, keys in _orbit_minima(n, products, k):
         orbit = set(images)
         a = sum(map(symmetric, keys))
         partners: dict[int, list[Probe]] = {}
@@ -328,8 +304,9 @@ def enumerate_type2(
 
     Only one set per multiplier orbit is probed (the orbit minimum of the
     scan order), and every pair found is carried to all unit multiples
-    with the same witnesses.  `jobs` splits the scan into contiguous
-    ranges of equal set count; one job scans the whole range.
+    with the same witnesses.  Each jump-set size is one task: a pool of
+    min(jobs, number of sizes) worker processes takes the sizes one at a
+    time, and when that is 1 the sizes run in turn in this process.
     Deterministic: pairs are sorted lexicographically and witnesses merged
     across both discovery directions, independent of job count.
 
@@ -365,17 +342,15 @@ def enumerate_type2(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
-    sizes = range(size_min, size_max + 1)
-    total = sum(comb(n // 2, k) for k in sizes)
-    bounds = [total * j // jobs for j in range(jobs + 1)]
-    parts = [(n, sizes, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    if jobs > 1:
+    tasks = [(n, k) for k in range(size_min, size_max + 1)]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
-            found = pool.map(_census_part, parts)
+        with multiprocessing.Pool(workers) as pool:
+            found = pool.map(_census_part, tasks, chunksize=1)
     else:
-        found = [_census_part(parts[0])]
+        found = map(_census_part, tasks)
 
     merged: dict[tuple[int, int], set[Probe]] = {}
     for part in found:
@@ -481,7 +456,7 @@ def ci_full_census(
     start = perf_counter()
     orbits: dict[ConnectionSet, list[ConnectionSet]] = {}
     products = _order_tables(n)[0]
-    for _, images, _ in _orbit_minima(n, products, (size,), 0, comb(n // 2, size)):
+    for _, images, _ in _orbit_minima(n, products, size):
         members = sorted(ConnectionSet(n, tuple(_mask_jumps(w))) for w in set(images))
         orbits[members[0]] = members
 

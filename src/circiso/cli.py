@@ -76,7 +76,7 @@ def _classify_one(c: ConnectionSet, args) -> None:
         print(f"{c}: {_describe(rec)}")
         return
     records = classify_mod.probe_records(c, allow_small=args.allow_small_sets)
-    status = classify_mod.ci_status_of_records(c, records)
+    status = classify_mod.ci_status_of_records(records)
     print(f"{c}: {status.verdict}")
     for rec in records:
         if rec.kind != "not-circulant":
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=int, default=3)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per size")
     p.add_argument("--allow-small-sets", action="store_true")
     p.add_argument("--canonical", action="store_true", help="omit timestamps")
     p.add_argument("--confirm", action="store_true", help="oracle-check every pair")

@@ -38,7 +38,6 @@ class FamilyInstance:
 class VerificationReport:
     """Outcome of pushing a family instance through the classifier."""
 
-    instance: FamilyInstance
     ok: bool
     checks: list[tuple[str, bool]]
     oracle_checked: bool
@@ -204,7 +203,6 @@ def verify_instance(fi: FamilyInstance, oracle_cap: int = DEFAULT_CAP) -> Verifi
             checks.append((f"oracle confirms sets {i} and {i + 1} isomorphic", iso))
 
     return VerificationReport(
-        instance=fi,
         ok=all(ok for _, ok in checks),
         checks=checks,
         oracle_checked=oracle_checked,

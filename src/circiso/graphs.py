@@ -166,11 +166,6 @@ def rooted_refinement_key(c: ConnectionSet) -> tuple:
     return tuple(rounds), tuple(sizes)
 
 
-def format_connection_set(c: ConnectionSet) -> str:
-    """One-line text form `n: r1,r2,...` (the shared file format)."""
-    return f"{c.n}: {','.join(str(j) for j in c.jumps)}"
-
-
 def parse_connection_sets(text: str) -> list[ConnectionSet]:
     """Parse the shared text format: one `n: r1,r2,...` per line, `#` comments."""
     out = []

@@ -256,8 +256,8 @@ def byte_tables_match_units(max_n: int = 24) -> list[str]:
     """For every n <= max_n and every nonempty jump mask v (bit r - 1 for
     jump r): the byte tables of `_order_tables` give, for every unit
     x <= n/2 in increasing order, the mask of the multiple x*R taken with
-    `reflexive_jump`, and the symmetric mask of +-R; and `_orbit_minima`
-    over all sizes yields exactly the masks that are the smallest mask in
+    `reflexive_jump`, and the symmetric mask of +-R; and `_orbit_minima`,
+    size by size, yields exactly the masks that are the smallest mask in
     their `brute_unit_orbit`, each with its whole orbit."""
     bad = []
     for n in range(2, max_n + 1):
@@ -280,7 +280,8 @@ def byte_tables_match_units(max_n: int = 24) -> list[str]:
                 minima.add((v, frozenset(orbit)))
         yielded = {
             (v, frozenset(images))
-            for v, images, _ in _orbit_minima(n, products, range(1, h + 1), 0, (1 << h) - 1)
+            for k in range(1, h + 1)
+            for v, images, _ in _orbit_minima(n, products, k)
         }
         if yielded != minima:
             bad.append(f"orbit minima differ at n={n}")

@@ -35,9 +35,7 @@ from reference_data import (
 )
 from suites import (
     brute_unit_orbit,
-    circulant_edge_set,
-    reflexive_jump,
-    theta_edge_image,
+    edge_level_image,
     type2_pair_violations,
 )
 
@@ -179,15 +177,54 @@ def test_census_closure_and_determinism():
 
 
 def test_census_parallel_matches_serial():
-    # n = 24 has 64 pairs and n = 27 has 72 (all m = 3), so two jobs split
-    # nonempty censuses across their range boundary; at n = 32 three jobs
-    # split ranges that cross jump-set sizes, each worker building its own
-    # byte tables.
-    for n, jobs in ((24, 2), (27, 2), (32, 3)):
-        serial = enumerate_type2(n)
-        parallel = enumerate_type2(n, jobs=jobs)
+    # Each jump-set size is one task, and the pairs of all sizes are merged
+    # after the scan, so the job count must not change them.  n = 24 (64
+    # pairs) and n = 27 (72, all m = 3) have pairs at several sizes; at
+    # n = 32 three workers each build their own byte tables.  (24, 5, 5)
+    # has a single size, so the census runs serially whatever `jobs` is,
+    # and (16, 3, 4) asks for more jobs than it has sizes.
+    for n, size_min, size_max, jobs in (
+        (24, 3, 12, 2),
+        (27, 3, 13, 2),
+        (32, 3, 16, 3),
+        (24, 5, 5, 2),
+        (16, 3, 4, 4),
+    ):
+        serial = enumerate_type2(n, size_min, size_max)
+        parallel = enumerate_type2(n, size_min, size_max, jobs=jobs)
         assert parallel.pairs == serial.pairs
         assert parallel.witnesses == serial.witnesses
+
+
+@pytest.mark.parametrize(
+    "size_min, size_max, jobs, workers",
+    [(3, 4, 4, 2), (3, 8, 10**6, 6), (3, 8, 2, 2), (5, 5, 8, None)],
+)
+def test_census_pool_never_exceeds_sizes(monkeypatch, size_min, size_max, jobs, workers):
+    # The fake pool records the process count it is asked for and maps in
+    # this process, so no worker starts even for a huge `jobs`; None means
+    # the census must run serially without a pool.
+    import multiprocessing
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            asked.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=None):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    census = enumerate_type2(16, size_min, size_max, jobs=jobs)
+    assert asked == ([] if workers is None else [workers])
+    assert census.pairs == enumerate_type2(16, size_min, size_max).pairs
 
 
 @pytest.mark.parametrize("n", sorted(CENSUS_JSON_SHA256))
@@ -218,16 +255,11 @@ def _reference_census(n, size_min, size_max):
             for r in combo:
                 g = gcd(n, r)
                 moduli.update(m for m in range(2, g + 1) if g % m == 0)
-            edges = circulant_edge_set(n, combo)
             orbit = brute_unit_orbit(n, combo)
             for m in moduli:
                 for t in range(1, n // m):
-                    image = theta_edge_image(n, m, t, edges)
-                    zero_nbrs = {next(iter(e - {0})) for e in image if 0 in e}
-                    candidate = tuple(sorted({reflexive_jump(n, v) for v in zero_nbrs} - {0}))
-                    if not candidate or image != circulant_edge_set(n, candidate):
-                        continue
-                    if candidate == combo or candidate in orbit:
+                    candidate = edge_level_image(n, m, t, combo)
+                    if candidate is None or candidate == combo or candidate in orbit:
                         continue
                     found.add(tuple(sorted((combo, candidate))))
     return found

