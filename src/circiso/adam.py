@@ -40,20 +40,27 @@ def multiply_set(c: ConnectionSet, x: int) -> ConnectionSet:
 def adam_orbit(c: ConnectionSet) -> AdamOrbit:
     """All images of c under unit multiplication, deduplicated and sorted.
 
-    x and n - x produce the same reduced set, so only units up to n/2 are
-    scanned.  The last orbit built is memoised, so consecutive probes of
-    one set share it; the result is shared, and callers must not mutate
-    its `witness` dict.
+    Each unit x <= n/2 takes one multiplication per jump, x*r reduced
+    reflexively, and the images are deduplicated by their set of reduced
+    jumps, each keeping the first, so the smallest, unit that produces
+    it.  A `ConnectionSet` is built only for each distinct member.  x and
+    n - x produce the same reduced set, so the units up to n/2 reach every
+    member; a unit permutes the nonzero reflexive classes, so every image
+    has as many jumps as c.  The key is a frozenset, not a jump mask: a
+    mask costs O(n) to build and hash, a frozenset O(|R|), which decides
+    at large orders.  The last orbit built is memoised, so consecutive
+    probes of one set share it; the result is shared, and callers must
+    not mutate its `witness` dict.
     """
-    witness: dict[ConnectionSet, int] = {}
-    for x in range(1, c.n // 2 + 1):
-        if gcd(c.n, x) != 1:
-            continue
-        image = multiply_set(c, x)
-        if image not in witness:
-            witness[image] = x
-    members = tuple(sorted(witness))
-    return AdamOrbit(members=members, witness=witness)
+    n = c.n
+    h = n // 2
+    first_unit: dict[frozenset[int], int] = {}
+    for x in range(1, h + 1):
+        if gcd(n, x) == 1:
+            image = frozenset([y if y <= h else n - y for y in [x * r % n for r in c.jumps]])
+            first_unit.setdefault(image, x)
+    witness = {ConnectionSet(n, tuple(sorted(image))): x for image, x in first_unit.items()}
+    return AdamOrbit(members=tuple(sorted(witness)), witness=witness)
 
 
 def same_adam_orbit(a: ConnectionSet, b: ConnectionSet) -> bool:

@@ -28,9 +28,10 @@ from typing import Callable, Optional
 
 from .adam import adam_orbit
 from .graphs import ConnectionSet, build_edges, rooted_refinement_key
-from .modarith import divisors_gt1, reflexive_reduce
+from .modarith import divisors_gt1, prime_divisors, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
-from .theta import _class_parts, _least_period, _mask_jumps, _rotate_classes, theta_image
+from .theta import _class_parts, _least_period, _mask_jumps, _rotate_classes
+from .theta import theta_image  # noqa: F401  (perfbench's tracer wraps `classify.theta_image`)
 
 Probe = tuple[int, int]  # (m, t)
 Pair = tuple[ConnectionSet, ConnectionSet]  # lexicographically ordered
@@ -97,19 +98,63 @@ def require_admissible_m(c: ConnectionSet, m: int) -> None:
         raise ValueError(f"m={m} does not divide gcd({c.n}, r) for any jump of {c}")
 
 
-def classify_pair(c: ConnectionSet, m: int, t: int) -> ClassificationRecord:
-    """Classify one probe; `theta_image` decides circulance from R alone."""
+@lru_cache(maxsize=1)
+def _probe_plan(c: ConnectionSet, m: int) -> tuple[int, int, tuple[tuple[int, int], ...], int]:
+    """What every probe (m, t) of c shares: (a, fixed, parts, q).
+
+    a is the symmetric mask of +-R (bit s for each s in +-R), fixed its
+    bits divisible by m, and parts the other residue classes as
+    (i, bits of class i), the class parts of `theta._class_parts` read
+    off the jumps, so building them costs O(|R|) mask operations whatever
+    m is.  q = d / gcd(d, m^2), with d the least period of the moving
+    jumps A = a ^ fixed (`theta._least_period`; d = 1 when A is empty).
+    The probe (m, t) is circulant iff q divides t (proof in
+    `_least_period`), and its image is then
+    `theta._rotate_classes(n, t*m, fixed, parts)` (proof there).
+
+    An m that `require_admissible_m` refuses gets no plan, so a plan in
+    the memo is admissible.  Only the last plan is kept: a scan over the
+    t of one modulus builds it once, and a single probe builds one plan
+    and nothing per t.
+    """
     require_admissible_m(c, m)
-    if not 1 <= t <= c.n // m - 1:
-        raise ValueError(f"shift t={t} out of range [1, {c.n // m - 1}]")
-    s = theta_image(c, m, t).image
-    if s is None:
+    n = c.n
+    a = fixed = 0
+    parts: dict[int, int] = {}
+    for r in c.jumps:
+        for s in (r, n - r):
+            bit = 1 << s
+            a |= bit
+            if s % m:
+                parts[s % m] = parts.get(s % m, 0) | bit
+            else:
+                fixed |= bit
+    moving = a ^ fixed
+    d = _least_period(n, prime_divisors(n), moving) if moving else 1
+    return a, fixed, tuple(parts.items()), d // gcd(d, m * m)
+
+
+def classify_pair(c: ConnectionSet, m: int, t: int) -> ClassificationRecord:
+    """Classify one probe from R alone through the plan of (c, m)
+    (`_probe_plan`): a t that q does not divide is not circulant and no
+    image is built; otherwise the image mask is compared with +-R for
+    "self" and looked up in the multiplier orbit of c (`adam_orbit`) for
+    a Type-1 unit.  A bad m is refused before a bad t, and a bad t before
+    any plan is built."""
+    n = c.n
+    if m <= 1 or not 1 <= t <= n // m - 1:
+        require_admissible_m(c, m)
+        raise ValueError(f"shift t={t} out of range [1, {n // m - 1}]")
+    a, fixed, parts, q = _probe_plan(c, m)
+    if t % q:
         return ClassificationRecord(m, t, "not-circulant")
-    if s == c:
-        return ClassificationRecord(m, t, "self", image=s)
-    orbit = adam_orbit(c)
-    if s in orbit.witness:
-        return ClassificationRecord(m, t, "type1", image=s, unit=orbit.witness[s])
+    image = _rotate_classes(n, t * m, fixed, parts)
+    if image == a:
+        return ClassificationRecord(m, t, "self", image=c)
+    s = ConnectionSet(n, tuple(_mask_jumps(image >> 1 & ((1 << n // 2) - 1))))
+    unit = adam_orbit(c).witness.get(s)
+    if unit is not None:
+        return ClassificationRecord(m, t, "type1", image=s, unit=unit)
     return ClassificationRecord(m, t, "type2", image=s)
 
 
@@ -206,7 +251,7 @@ def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int
         for m in divisors_gt1(n)
         if m <= h
     )
-    primes = tuple(p for p in divisors_gt1(n) if divisors_gt1(p) == [p])
+    primes = tuple(prime_divisors(n))
     return products, symmetric, moduli, primes
 
 

@@ -53,3 +53,21 @@ def divisors_gt1(k: int) -> list[int]:
         d += 1
     divs = small + large[::-1]
     return [d for d in divs if d > 1]
+
+
+def prime_divisors(k: int) -> list[int]:
+    """Prime divisors of k, ascending (empty for k = 1), by trial division:
+    each divisor p found from below has no smaller prime factor left in k."""
+    if k < 1:
+        raise ValueError(f"expected a positive integer, got {k}")
+    primes = []
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            primes.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    if k > 1:
+        primes.append(k)
+    return primes

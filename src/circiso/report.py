@@ -17,7 +17,6 @@ from typing import Optional
 
 from .classify import PairCensus, classify_pair, require_admissible_m
 from .graphs import ConnectionSet
-from .theta import ThetaMap
 
 SCHEMA_VERSION = 1
 CSV_HEADER = ["n", "left", "right", "m_witnesses", "t_witnesses", "oracle_confirmed"]
@@ -144,20 +143,21 @@ class ThetaTableRow:
 def theta_table_rows(c: ConnectionSet, m: int) -> list[ThetaTableRow]:
     """Elementwise images of the symmetric jump set for t = 1 .. n/m - 1.
 
-    Each row's verdict and Type-1 unit come from `classify_pair` (its
-    'not-circulant' reads 'not' here), so an m that divides gcd(n, r) for
-    no jump r is refused with `classify_pair`'s message.
+    Each cell is s + (s mod m)*t*m (mod n), the shift map applied to one
+    s of +-R.  Each row's verdict and Type-1 unit come from
+    `classify_pair` (its 'not-circulant' reads 'not' here), so an m that
+    divides gcd(n, r) for no jump r is refused with `classify_pair`'s
+    message.
     """
     require_admissible_m(c, m)
-    sym = c.symmetric_jumps()
+    n = c.n
+    steps = [(s, s % m * m) for s in c.symmetric_jumps()]
     rows = []
-    for t in range(1, c.n // m):
+    for t in range(1, n // m):
         rec = classify_pair(c, m, t)
-        apply = ThetaMap(c.n, m, t).apply
         verdict = "not" if rec.kind == "not-circulant" else rec.kind
-        rows.append(
-            ThetaTableRow(t=t, images=tuple(apply(s) for s in sym), verdict=verdict, unit=rec.unit)
-        )
+        images = tuple([(s + k * t) % n for s, k in steps])
+        rows.append(ThetaTableRow(t=t, images=images, verdict=verdict, unit=rec.unit))
     return rows
 
 
@@ -166,10 +166,10 @@ def render_theta_table(c: ConnectionSet, m: int) -> str:
     sym = c.symmetric_jumps()
     rows = theta_table_rows(c, m)
     width = max(3, len(str(c.n - 1)) + 1)
-    header_cells = "".join(f"{s:>{width}}" for s in sym)
+    row_format = f"%{width}d" * len(sym)  # one right-aligned cell per element of +-R
     lines = [
         f"Shift images of the symmetric jump set of {c} (m={m})",
-        f"{'t':>4} |{header_cells} | equidistant from 0?",
+        f"{'t':>4} |{row_format % sym} | equidistant from 0?",
     ]
     verdict_text = {
         "not": "Not",
@@ -177,10 +177,9 @@ def render_theta_table(c: ConnectionSet, m: int) -> str:
         "type2": "Yes (Type-2)",
     }
     for row in rows:
-        cells = "".join(f"{x:>{width}}" for x in row.images)
         if row.verdict == "type1":
             verdict = f"Yes (Type-1, x={row.unit})"
         else:
             verdict = verdict_text[row.verdict]
-        lines.append(f"{row.t:>4} |{cells} | {verdict}")
+        lines.append(f"{row.t:>4} |{row_format % row.images} | {verdict}")
     return "\n".join(lines) + "\n"

@@ -12,18 +12,22 @@ a bit mask of +-R, by the closed form proved in its docstring: the image
 is circulant iff the jumps A of +-R that m does not divide are closed
 under +t*m^2, one rotation compare (`_closed_under`), and the image then
 rotates each residue class i by i*t*m (`_rotate_classes`, the one image
-builder).  The census in `classify` decides every t of a modulus at once:
-the circulant shifts are the multiples of one q derived from the least
-period of A (`_least_period`, proof in its docstring), and it builds only
-their images, with the same builder.  `theta_image` is a thin adapter
-over `_shift_mask` (ConnectionSet -> mask -> ThetaResult), and
-`classify.classify_pair` is the single probe classifier built on that:
-shift tables and the CLI take their verdicts from there, so they refuse
-an m that divides gcd(n, r) for no jump r.  The closed form is tested
-against the edge-level definition in `tests/suites.py`
-(`edge_level_image`), which shares no code with the package, and the
+builder).  The census in `classify` and the probe classifier
+`classify.classify_pair` both decide every t of a modulus at once: the
+circulant shifts are the multiples of one q derived from the least
+period of A (`_least_period`, proof in its docstring), and only their
+images are built, with the same builder.  `classify_pair` reads q, the
+mask of +-R, its fixed bits and its class parts from one plan per (set,
+modulus), `classify._probe_plan`; shift tables and the CLI take their
+verdicts from it, so they refuse an m that divides gcd(n, r) for no jump
+r.  `theta_image` is a thin adapter over `_shift_mask` (ConnectionSet ->
+mask -> ThetaResult) for the families and the tests.  The closed form
+is tested against the edge-level definition in `tests/suites.py`
+(`edge_level_image`), which shares no code with the package, the
 least-period shifts against `_shift_mask` at every t
-(`least_period_decides_shifts`).  The edge-level `apply_to_edges`,
+(`least_period_decides_shifts`), and `classify_pair` against the
+edge-level image and a brute-force orbit on every admissible probe
+(`classify_pair_matches_reference`).  The edge-level `apply_to_edges`,
 `jump_shortcut` (circulant iff the elementwise image of the symmetric
 jump set is closed under negation; its negatives are conclusive, but it
 is exact only for m = 2) and `shortcut_disagreement` have no caller in

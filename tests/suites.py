@@ -16,7 +16,7 @@ from circiso import (
     build_edges,
     enumerate_type2,
 )
-from circiso.classify import _byte_keys, _order_tables, _orbit_minima
+from circiso.classify import _byte_keys, _order_tables, _orbit_minima, _probe_plan, classify_pair
 from circiso.graphs import rooted_refinement_key
 from circiso.theta import (
     _class_parts,
@@ -93,6 +93,28 @@ def brute_unit_orbit(n: int, jumps) -> set[tuple[int, ...]]:
         for x in range(1, n)
         if gcd(x, n) == 1
     }
+
+
+def brute_orbit_witness(n: int, jumps) -> dict[tuple[int, ...], int]:
+    """Each reflexive unit multiple x*jumps mapped to the smallest unit
+    x <= n/2 producing it (x and n - x produce the same set)."""
+    out: dict[tuple[int, ...], int] = {}
+    for x in range(1, n // 2 + 1):
+        if gcd(x, n) == 1:
+            out.setdefault(tuple(sorted({reflexive_jump(n, x * r) for r in jumps})), x)
+    return out
+
+
+def reference_probe(n: int, m: int, t: int, jumps) -> tuple:
+    """(kind, image jumps, Type-1 unit) of the probe (m, t) of C_n(jumps),
+    from the edge-level image and the brute-force orbit alone."""
+    image = edge_level_image(n, m, t, jumps)
+    if image is None:
+        return "not-circulant", None, None
+    if image == tuple(jumps):
+        return "self", image, None
+    unit = brute_orbit_witness(n, jumps).get(image)
+    return ("type2", image, None) if unit is None else ("type1", image, unit)
 
 
 def type2_pair_violations(n: int, left, right, probes) -> list[str]:
@@ -446,4 +468,64 @@ def jump2_triple_necessity(orders=(16, 24, 32, 40)) -> list[str]:
                 }
                 if not t_witnesses & {n // 8, 3 * n // 8}:
                     bad.append(f"{member}: no shift witness at n/8 or 3n/8")
+    return bad
+
+
+def _probe_outcome(c: ConnectionSet, m: int, t: int) -> tuple:
+    rec = classify_pair(c, m, t)
+    return rec.kind, rec.image.jumps if rec.image else None, rec.unit
+
+
+def classify_pair_matches_reference(max_n: int = 20) -> list[str]:
+    """For every n <= max_n, every jump set R and every admissible probe
+    (m > 1 dividing gcd(n, r) for a jump r, 1 <= t <= n/m - 1): the kind,
+    image and Type-1 unit of `classify_pair` equal `reference_probe`, and
+    the class parts of `_probe_plan` are those of `theta._class_parts`.
+    Then an interleaved sequence (R1, m1) -> (R2, m2) -> (R1, m1), with
+    the same jumps at two orders and one set at two moduli, is checked
+    probe by probe, so a plan or orbit memo keyed on less than (n, R, m)
+    answers for the wrong probe and fails."""
+    bad = []
+    for n in range(2, max_n + 1):
+        for size in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                c = ConnectionSet(n, combo)
+                moduli = [
+                    m for m in range(2, n // 2 + 1) if n % m == 0 and any(r % m == 0 for r in combo)
+                ]
+                for m in moduli:
+                    where = f"n={n}, R={combo}, m={m}"
+                    for t in range(1, n // m):
+                        if _probe_outcome(c, m, t) != reference_probe(n, m, t, combo):
+                            bad.append(f"classify_pair differs at {where}, t={t}")
+                    a, fixed, parts, _ = _probe_plan(c, m)
+                    mult = bits_mask(range(0, n, m))
+                    if dict(parts) != dict(_class_parts(m, mult, a ^ fixed)) or fixed != a & mult:
+                        bad.append(f"plan class parts differ at {where}")
+    sequence = [(24, (2, 3, 7), 2), (24, (2, 3, 7), 3), (16, (2, 3, 7), 2), (24, (2, 3, 7), 2),
+                (24, (1, 2, 11), 2), (24, (2, 5, 7), 2), (24, (1, 2, 11), 2), (20, (1, 4, 5), 5),
+                (20, (1, 4, 5), 2), (20, (1, 4, 5), 5)]
+    for n, combo, m in sequence * 2:
+        c = ConnectionSet(n, combo)
+        for t in range(n // m - 1, 0, -1):  # descending; the scan above ascends
+            if _probe_outcome(c, m, t) != reference_probe(n, m, t, combo):
+                bad.append(f"interleaved classify_pair differs at n={n}, R={combo}, m={m}, t={t}")
+    return bad
+
+
+def adam_orbit_matches_brute(max_n: int = 24, max_size: int = 4) -> list[str]:
+    """For every n <= max_n (odd and even, so sets with the jump n/2 are
+    covered) and every jump set of size <= max_size: `adam_orbit` members
+    are the sorted `brute_unit_orbit`, and each witness is the smallest
+    unit x <= n/2 producing the member (`brute_orbit_witness`)."""
+    bad = []
+    for n in range(2, max_n + 1):
+        for size in range(1, min(max_size, n // 2) + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                orbit = adam_orbit(ConnectionSet(n, combo))
+                if [m.jumps for m in orbit.members] != sorted(brute_unit_orbit(n, combo)):
+                    bad.append(f"orbit members differ at n={n}, R={combo}")
+                witness = {m.jumps: x for m, x in orbit.witness.items()}
+                if witness != brute_orbit_witness(n, combo):
+                    bad.append(f"orbit witnesses differ at n={n}, R={combo}")
     return bad

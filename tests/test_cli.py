@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from circiso import cli
 from circiso.cli import main
+from reference_data import CLI_STDOUT_SHA256
 
 
 def run_cli(capsys, *argv):
@@ -316,3 +318,10 @@ def test_importing_the_cli_leaves_logging_unimported():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("argv", list(CLI_STDOUT_SHA256), ids=" ".join)
+def test_per_set_commands_print_pinned_bytes(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_SHA256[argv]

@@ -3,6 +3,7 @@ import pytest
 from circiso.modarith import (
     DegenerateSetError,
     divisors_gt1,
+    prime_divisors,
     reduce_set,
     reflexive_reduce,
 )
@@ -81,3 +82,14 @@ def test_divisors_gt1(k, expected):
 def test_divisors_gt1_brute_force():
     for k in range(1, 200):
         assert divisors_gt1(k) == [d for d in range(2, k + 1) if k % d == 0]
+
+
+def test_prime_divisors_brute_force():
+    for k in range(1, 1000):
+        primes = [d for d in divisors_gt1(k) if all(d % f for f in range(2, d))]
+        assert prime_divisors(k) == primes
+
+
+def test_prime_divisors_rejects_non_positive():
+    with pytest.raises(ValueError):
+        prime_divisors(0)

@@ -8,7 +8,9 @@ from circiso.graphs import ConnectionSet, EdgeSet, build_edges, detect_circulant
 from circiso.oracle import are_isomorphic
 
 from suites import (
+    adam_orbit_matches_brute,
     byte_tables_match_units,
+    classify_pair_matches_reference,
     jump2_triple_necessity,
     least_period_decides_shifts,
     orbit_symmetry,
@@ -37,6 +39,14 @@ def test_residue_kernel_agrees_with_edge_level_up_to_20():
 
 def test_least_period_decides_every_shift_up_to_20():
     assert least_period_decides_shifts(20) == []
+
+
+def test_classify_pair_matches_edge_level_reference_up_to_20():
+    assert classify_pair_matches_reference(20) == []
+
+
+def test_adam_orbit_matches_brute_force_up_to_24():
+    assert adam_orbit_matches_brute(24, 4) == []
 
 
 def test_byte_tables_and_orbit_minima_up_to_24():
