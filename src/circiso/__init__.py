@@ -6,7 +6,7 @@ verifies results with an exact graph-isomorphism oracle, and generates
 parametric Type-2 families.
 """
 
-from .adam import AdamOrbit, adam_orbit, multiply_set, same_adam_orbit
+from .adam import AdamOrbit, adam_orbit, same_adam_orbit
 from .classify import (
     CIStatus,
     ClassificationRecord,
@@ -74,7 +74,6 @@ __all__ = [
     "family_m7",
     "gcd_signature",
     "jump_shortcut",
-    "multiply_set",
     "parse_census_json",
     "parse_connection_sets",
     "reduce_set",

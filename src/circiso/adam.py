@@ -27,15 +27,6 @@ class AdamOrbit:
     witness: dict[ConnectionSet, int]
 
 
-def multiply_set(c: ConnectionSet, x: int) -> ConnectionSet:
-    """Reduce x*R for a unit x; units permute the nonzero reflexive classes."""
-    if gcd(c.n, x) != 1:
-        raise ValueError(f"{x} is not a unit mod {c.n}")
-    out = ConnectionSet.reduce(c.n, [x * r for r in c.jumps])
-    assert len(out.jumps) == len(c.jumps)
-    return out
-
-
 @lru_cache(maxsize=1)
 def adam_orbit(c: ConnectionSet) -> AdamOrbit:
     """All images of c under unit multiplication, deduplicated and sorted.

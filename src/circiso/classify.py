@@ -27,7 +27,7 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from .adam import adam_orbit
-from .graphs import ConnectionSet, build_edges, rooted_refinement_key
+from .graphs import ConnectionSet, build_edges, closed_walk_prefix, rooted_refinement_key
 from .modarith import divisors_gt1, prime_divisors, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
 from .theta import _class_parts, _least_period, _mask_jumps, _rotate_classes
@@ -452,45 +452,50 @@ def ci_full_census(
     """Oracle-backed CI census of all size-`size` jump sets of order n.
 
     Groups the sets into multiplier orbits and buckets the orbit
-    representatives in two stages: by their number of components,
+    representatives in three stages: by their number of components,
     gcd(n, r_1, ..., r_k); then, within every group of two or more, by
-    the hash of their rooted refinement key
-    (`graphs.rooted_refinement_key`), so the bucket table holds one
-    integer per key rather than every round's signatures.  The
-    oracle decides isomorphism between every two orbits of a final
-    bucket, whose edge sets alone are built.  An orbit is CI exactly when
-    no other orbit is isomorphic to it.  When a mapping of expected
-    verdicts (jump tuple -> True for CI) is supplied, disagreements are
-    reported on the verdict rows as anomalies -- never raised.  Orders
-    below 2 and sizes outside [1, n/2] are refused.  One DEBUG record on
-    the `circiso.classify` logger gives the orbit count, the rooted keys
-    computed, the final bucket sizes, the oracle calls, the isomorphic
-    pairs and the elapsed time.  The census never imports `logging`: a
-    program that has not imported it cannot have enabled DEBUG, so the
-    record is then skipped.
+    the hash of their closed-walk prefix (`graphs.closed_walk_prefix`);
+    then, within every remaining group of two or more, by the hash of
+    their rooted refinement key (`graphs.rooted_refinement_key`), so the
+    bucket tables hold one integer per key.  The oracle decides
+    isomorphism between every two orbits of a final bucket, whose edge
+    sets alone are built.  An orbit is CI exactly when no other orbit is
+    isomorphic to it.  When a mapping of expected verdicts (jump tuple ->
+    True for CI) is supplied, disagreements are reported on the verdict
+    rows as anomalies -- never raised.  Orders below 2 and sizes outside
+    [1, n/2] are refused.  One DEBUG record on the `circiso.classify`
+    logger gives the orbit count, the walk and rooted keys computed, the
+    final bucket sizes, the oracle calls, the isomorphic pairs and the
+    elapsed time.  The census never imports `logging`: a program that
+    has not imported it cannot have enabled DEBUG, so the record is then
+    skipped.
 
-    Isomorphic circulants share both keys, so the buckets separate no
-    isomorphic pair of orbits and the verdicts are those of comparing
+    Isomorphic circulants share all three keys, so the buckets separate
+    no isomorphic pair of orbits and the verdicts are those of comparing
     every pair.  Proof: an isomorphism is a bijection on vertices and
-    edges, so it carries components onto components.  The rooted key is
-    invariant by the proof in its docstring: an isomorphism may be taken
-    to fix 0, since rotations are automorphisms, and then it carries each
-    round's colours onto equal colours.  Equal keys have equal hashes, so
-    keying by the hash splits no isomorphic pair either; a collision only
-    merges two buckets, and the oracle still decides every pair in it.
+    edges, so it carries components onto components.  The walk prefix
+    and the rooted key are invariant by the proofs in their docstrings:
+    an isomorphism may be taken to fix 0, since rotations are
+    automorphisms, and then it carries closed walks at 0 onto closed
+    walks at 0 and each round's colours onto equal colours.  Equal keys
+    have equal hashes, so keying by the hash splits no isomorphic pair
+    either; a collision only merges two buckets, and the oracle still
+    decides every pair in it.
 
-    The component count only spares keys: at size 1 it tells every orbit
-    apart, so no key is computed.  It splits nothing the rooted key leaves
-    together.  The rooted key refines the closed-walk counts
-    W_k = (A^k)_00, k = 1..n, of the adjacency matrix A (proof in its
-    docstring).  In a circulant W_k = tr(A^k)/n, as rotations carry 0 to
-    every vertex; the traces fix the spectrum (Newton's identities), and
-    in a regular graph of degree W_2 the number of components is the
-    multiplicity of the eigenvalue W_2.  The final buckets are therefore
-    those of the rooted key alone.  The key only prunes:
-    isospectral circulants need not be isomorphic (Elspas and Turner,
-    J. Combin. Theory 1970), and the oracle still decides every pair
-    that shares a final bucket.
+    The first two stages only spare rooted keys, which cost several times
+    a walk prefix: at size 1 the component count tells every orbit apart,
+    so no key is computed, and most orbits that share a component count
+    differ in their first walk counts.  Neither splits anything the
+    rooted key leaves together.  The rooted key refines the closed-walk
+    counts W_k = (A^k)_00 at every length k (proof in its docstring), so
+    also the prefix.  In a circulant W_k = tr(A^k)/n, as rotations carry
+    0 to every vertex; the traces for k = 1..n fix the spectrum (Newton's
+    identities), and in a regular graph of degree W_2 the number of
+    components is the multiplicity of the eigenvalue W_2.  Up to hash
+    collisions, the final buckets are therefore those of the rooted key
+    alone.  The keys only prune: isospectral circulants need not be
+    isomorphic (Elspas and Turner, J. Combin. Theory 1970), and the
+    oracle still decides every pair that shares a final bucket.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -509,7 +514,8 @@ def ci_full_census(
     by_components: dict[int, list[ConnectionSet]] = {}
     for rep in reps:
         by_components.setdefault(gcd(n, *rep.jumps), []).append(rep)
-    buckets = _split_buckets(by_components.values(), rooted_refinement_key)
+    by_walks = _split_buckets(by_components.values(), closed_walk_prefix)
+    buckets = _split_buckets(by_walks, rooted_refinement_key)
     iso_partners: dict[ConnectionSet, list[ConnectionSet]] = {rep: [] for rep in reps}
     oracle_calls = isomorphic_pairs = 0
     for bucket in buckets:
@@ -523,16 +529,15 @@ def ci_full_census(
     logging = sys.modules.get("logging")  # only a program that imported it can enable DEBUG
     if logging is not None:
         logging.getLogger(__name__).debug(
-            "ci census n=%(n)d size=%(size)d: %(orbits)d orbits, %(rooted_keys)d rooted keys, "
-            "buckets %(buckets)s, %(oracle_calls)d oracle calls, "
+            "ci census n=%(n)d size=%(size)d: %(orbits)d orbits, %(walk_keys)d walk keys, "
+            "%(rooted_keys)d rooted keys, buckets %(buckets)s, %(oracle_calls)d oracle calls, "
             "%(isomorphic_pairs)d isomorphic pairs, %(elapsed_s).3f s",
             {
                 "n": n,
                 "size": size,
                 "orbits": len(reps),
-                "rooted_keys": sum(
-                    len(group) for group in by_components.values() if len(group) > 1
-                ),
+                "walk_keys": sum(len(group) for group in by_components.values() if len(group) > 1),
+                "rooted_keys": sum(len(group) for group in by_walks),
                 "buckets": [len(bucket) for bucket in buckets],
                 "oracle_calls": oracle_calls,
                 "isomorphic_pairs": isomorphic_pairs,

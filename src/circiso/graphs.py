@@ -3,8 +3,9 @@
 A circulant graph is named by its order n and a reduced jump set
 R subseteq [1, n//2]: vertex x is joined to x +- r (mod n) for every r in R.
 This module materialises such graphs, recognises whether an arbitrary edge
-set is circulant, and computes the rooted colour-refinement key that
-buckets the CI census.
+set is circulant, and computes the two invariants that bucket the CI
+census: a prefix of the closed-walk counts and the rooted
+colour-refinement key.
 """
 
 from __future__ import annotations
@@ -100,10 +101,43 @@ def gcd_signature(c: ConnectionSet) -> tuple[int, ...]:
     """The sorted multiset {gcd(n, r) : r in jumps}.
 
     Not a certificate, and no longer used by any correctness path: the CI
-    census buckets by `rooted_refinement_key`, a proven invariant.  It
-    stays exported only because the benchmark under `perfbench/` traces it.
+    census buckets by proven invariants.  It stays exported only because
+    the benchmark under `perfbench/` traces it.
     """
     return tuple(sorted(gcd(c.n, r) for r in c.jumps))
+
+
+WALK_PREFIX = 8  # closed-walk lengths in `closed_walk_prefix`
+
+
+def closed_walk_prefix(c: ConnectionSet) -> tuple[int, ...]:
+    """The numbers W_1..W_K of closed walks of length k from vertex 0 of
+    C_n(R), K = WALK_PREFIX, by Kronecker packing.
+
+    Walks from 0 of length k to j are the coefficient of x^j in P(x)^k
+    mod x^n - 1, P the sum of x^s over s in +-R.  Each coefficient sits in
+    a field of w bits of one integer, and a step multiplies by P packed
+    the same way, then folds mod x^n - 1 as (v & mask) + (v >> n*w).
+    W_k is the low field after step k.
+
+    Invariance: W_k = (A^k)_00 = tr(A^k)/n, as rotations carry 0 to every
+    vertex, and an isomorphism taken to fix 0 carries closed walks at 0
+    onto closed walks at 0.  Exactness: with d = |+-R|, every coefficient
+    before and after the fold counts walks of length k <= K, so it is at
+    most d^k < 2^w and no carry crosses into the next field; the product
+    has degree < 2n - 1, so one fold reduces it.
+    """
+    n, sym = c.n, c.symmetric_jumps()
+    w = (len(sym) ** WALK_PREFIX).bit_length() + 1
+    step = sum(1 << s * w for s in sym)
+    shift = n * w
+    mask, field = (1 << shift) - 1, (1 << w) - 1
+    walks, counts = 1, []
+    for _ in range(WALK_PREFIX):
+        walks *= step
+        walks = (walks & mask) + (walks >> shift)
+        counts.append(walks & field)
+    return tuple(counts)
 
 
 def rooted_refinement_key(c: ConnectionSet) -> tuple:
@@ -129,10 +163,10 @@ def rooted_refinement_key(c: ConnectionSet) -> tuple:
     refinements therefore stop at the same round with equal keys, and
     phi carries each final class onto one of the same size.
 
-    The key refines the closed-walk counts W_k from vertex 0, k = 1..n
-    (the walk-count reference helper in `tests/suites.py`, whose suites
-    check this).  The last round splits no class, so all vertices of a
-    class have the same number of neighbours in each class: the final
+    The key refines the closed-walk counts W_k from vertex 0 at every
+    length k, so also `closed_walk_prefix` (the suites in `tests/` check
+    this).  The last round splits no class, so all vertices of a class
+    have the same number of neighbours in each class: the final
     partition is equitable, with {0} a class of its own, and the last
     round's signatures give its quotient matrix Q.  Walks from 0 project
     onto walks of Q from the class of 0, so W_k = (Q^k)_00, and equal

@@ -45,14 +45,15 @@ def _neighbour_lists(adj: list[int]) -> list[list[int]]:
     return out
 
 
-def refine_invariants(adj: list[int]) -> list[tuple]:
-    """Seed colour of every vertex of a graph given by adjacency bitmasks:
-    (degree, triangles through it, sorted neighbour degrees)."""
+def refine_invariants(adj: list[int], nbrs: list[list[int]]) -> list[tuple]:
+    """Seed colour of every vertex of a graph given by adjacency bitmasks
+    and their `_neighbour_lists`: (degree, triangles through it, sorted
+    neighbour degrees)."""
     degrees = [mask.bit_count() for mask in adj]
     colors = []
-    for v, nbrs in enumerate(_neighbour_lists(adj)):
-        tri = sum((adj[v] & adj[u]).bit_count() for u in nbrs) // 2
-        colors.append((degrees[v], tri, tuple(sorted(degrees[u] for u in nbrs))))
+    for v, vn in enumerate(nbrs):
+        tri = sum((adj[v] & adj[u]).bit_count() for u in vn) // 2
+        colors.append((degrees[v], tri, tuple(sorted(degrees[u] for u in vn))))
     return colors
 
 
@@ -73,8 +74,8 @@ def _refine_colors(adj1: list[int], adj2: list[int]) -> Optional[tuple[list[int]
         return [(colors[v], tuple(sorted(colors[u] for u in vn))) for v, vn in enumerate(nbrs)]
 
     nbrs1, nbrs2 = _neighbour_lists(adj1), _neighbour_lists(adj2)
-    c1 = assign(refine_invariants(adj1))
-    c2 = assign(refine_invariants(adj2))
+    c1 = assign(refine_invariants(adj1, nbrs1))
+    c2 = assign(refine_invariants(adj2, nbrs2))
     while True:
         if sorted(c1) != sorted(c2):
             return None

@@ -16,8 +16,15 @@ from circiso import (
     build_edges,
     enumerate_type2,
 )
-from circiso.classify import _byte_keys, _order_tables, _orbit_minima, _probe_plan, classify_pair
-from circiso.graphs import rooted_refinement_key
+from circiso.classify import (
+    _byte_keys,
+    _order_tables,
+    _orbit_minima,
+    _probe_plan,
+    _split_buckets,
+    classify_pair,
+)
+from circiso.graphs import WALK_PREFIX, closed_walk_prefix, rooted_refinement_key
 from circiso.theta import (
     _class_parts,
     _least_period,
@@ -64,9 +71,9 @@ def edge_level_image(n: int, m: int, t: int, jumps):
     return candidate if circulant_edge_set(n, candidate) == image else None
 
 
-def closed_walk_counts(n: int, jumps) -> tuple[int, ...]:
-    """The numbers of closed walks of length k = 1..n from vertex 0 of
-    C_n(jumps).
+def closed_walk_counts(n: int, jumps, lengths=None) -> tuple[int, ...]:
+    """The numbers of closed walks of length k = 1..lengths (default n)
+    from vertex 0 of C_n(jumps).
 
     A dynamic programme over Z_n: after k steps walks[j] is the number of
     walks of length k from 0 to j, the coefficient of x^j in P(x)^k mod
@@ -78,7 +85,7 @@ def closed_walk_counts(n: int, jumps) -> tuple[int, ...]:
     half = n // 2
     sym = {r % n for r in jumps} | {-r % n for r in jumps}
     walks, counts = [1] + [0] * (n - 1), []
-    for _ in range(n):
+    for _ in range(n if lengths is None else lengths):
         doubled = walks + walks
         low = list(map(sum, zip(*[doubled[n - s : n - s + half + 1] for s in sym])))
         walks = low + low[n - half - 1 : 0 : -1]
@@ -338,6 +345,51 @@ def walk_counts_match_traces(max_n: int = 16) -> list[str]:
                 if [n * w for w in counts] != adjacency_power_traces(n, combo):
                     bad.append(f"walk counts differ from traces at n={n}, R={combo}")
     return bad
+
+
+def walk_prefix_matches_reference(max_n: int = 20, max_size: int = 4, max_small_n: int = 32):
+    """closed_walk_prefix(R) equals the first WALK_PREFIX closed-walk counts
+    of the package-free `closed_walk_counts` for every jump set R at
+    n <= max_n, and for every R of size <= max_size at n <= max_small_n.
+    Returns the violations and the number of sets checked."""
+    bad, checked = [], 0
+    for n in range(2, max_small_n + 1):
+        for size in range(1, (n // 2 if n <= max_n else max_size) + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                checked += 1
+                if closed_walk_prefix(ConnectionSet(n, combo)) != closed_walk_counts(
+                    n, combo, WALK_PREFIX
+                ):
+                    bad.append(f"walk prefix of C_{n}{combo} differs from the reference")
+    return bad, checked
+
+
+def walk_stage_keeps_final_buckets(cells) -> tuple[list[str], int]:
+    """At every (n, size) of `cells`, bucketing the multiplier orbits by
+    component count, then walk prefix, then rooted key, as `ci_full_census`
+    does, gives the final buckets of component count, then rooted key.
+    Both go through `classify._split_buckets`.  Orbits are the package-free
+    `brute_unit_orbit`s, each represented by its smallest member.  Returns
+    the violations and the number of rooted keys the walk stage spares."""
+    bad, spared = [], 0
+    for n, size in cells:
+        reps = sorted(
+            {
+                min(brute_unit_orbit(n, combo))
+                for combo in itertools.combinations(range(1, n // 2 + 1), size)
+            }
+        )
+        by_components = {}
+        for rep in reps:
+            by_components.setdefault(gcd(n, *rep), []).append(ConnectionSet(n, rep))
+        two = _split_buckets(by_components.values(), rooted_refinement_key)
+        by_walks = _split_buckets(by_components.values(), closed_walk_prefix)
+        three = _split_buckets(by_walks, rooted_refinement_key)
+        if sorted(map(sorted, two)) != sorted(map(sorted, three)):
+            bad.append(f"the walk stage changes the final buckets at n={n}, size={size}")
+        tied = [group for group in by_components.values() if len(group) > 1]
+        spared += sum(map(len, tied)) - sum(map(len, by_walks))
+    return bad, spared
 
 
 def walk_key_separates_only_non_isomorphic(max_n: int = 18) -> tuple[list[str], int]:

@@ -3,9 +3,14 @@ from math import gcd
 
 import pytest
 
-from circiso.adam import adam_orbit, multiply_set, same_adam_orbit
+from circiso.adam import adam_orbit, same_adam_orbit
 from circiso.graphs import ConnectionSet
-from suites import brute_unit_orbit
+from suites import brute_unit_orbit, reflexive_jump
+
+
+def _times(c, x):
+    """The unit multiple x*c, reduced by the package-free `reflexive_jump`."""
+    return ConnectionSet(c.n, tuple(sorted({reflexive_jump(c.n, x * r) for r in c.jumps})))
 
 
 @pytest.mark.parametrize(
@@ -18,22 +23,17 @@ from suites import brute_unit_orbit
     ],
 )
 def test_multiply_set(n, jumps, x, expected):
-    assert multiply_set(ConnectionSet(n, jumps), x).jumps == expected
-
-
-def test_multiply_set_rejects_non_unit():
-    with pytest.raises(ValueError):
-        multiply_set(ConnectionSet(24, (1, 2, 3)), 6)
+    # hand-computed unit multiples x*R are members of the orbit of R
+    c = ConnectionSet(n, jumps)
+    assert _times(c, x).jumps == expected
+    assert ConnectionSet(n, expected) in adam_orbit(c).witness
 
 
 def test_multiply_preserves_cardinality():
     for n in (16, 24, 27):
         for jumps in [(1, 2), (1, 3, 5), (2, 4, 6, 7)]:
             c = ConnectionSet(n, tuple(j for j in jumps if j <= n // 2))
-            for x in range(1, n):
-                if gcd(x, n) != 1:
-                    continue
-                assert len(multiply_set(c, x).jumps) == len(c.jumps)
+            assert all(len(m.jumps) == len(c.jumps) for m in adam_orbit(c).members)
 
 
 @pytest.mark.parametrize(
@@ -61,7 +61,7 @@ def test_adam_orbit_witnesses_reproduce_members():
         orbit = adam_orbit(c)
         assert c in orbit.witness
         for member, x in orbit.witness.items():
-            assert multiply_set(c, x) == member
+            assert _times(c, x) == member
 
 
 def test_adam_orbit_closed_under_units():
@@ -72,7 +72,7 @@ def test_adam_orbit_closed_under_units():
             for x in range(1, n):
                 if gcd(x, n) != 1:
                     continue
-                assert multiply_set(member, x) in members
+                assert _times(member, x) in members
 
 
 @pytest.mark.parametrize(
@@ -116,4 +116,4 @@ def test_interleaved_orbits_match_brute_force():
         orbit = adam_orbit(c)
         assert {m.jumps for m in orbit.members} == brute_unit_orbit(n, jumps)
         for member, x in orbit.witness.items():
-            assert multiply_set(c, x) == member
+            assert _times(c, x) == member

@@ -20,7 +20,13 @@ from circiso.classify import (
     enumerate_type2,
     type2_partners,
 )
-from circiso.graphs import ConnectionSet, build_edges, rooted_refinement_key
+from circiso.graphs import (
+    WALK_PREFIX,
+    ConnectionSet,
+    build_edges,
+    closed_walk_prefix,
+    rooted_refinement_key,
+)
 from circiso.oracle import are_isomorphic
 from circiso.report import emit_census
 from circiso.theta import theta_image
@@ -35,6 +41,7 @@ from reference_data import (
 )
 from suites import (
     brute_unit_orbit,
+    closed_walk_counts,
     edge_level_image,
     type2_pair_violations,
 )
@@ -347,8 +354,9 @@ def test_ci_full_census_verdicts_match_recorded_digests():
 
 def test_ci_full_census_keys_only_orbits_that_share_a_component_count(monkeypatch):
     # at size 1 the component count gcd(n, r) tells every orbit apart, so a
-    # large order computes no rooted key and makes no oracle call
+    # large order computes no walk prefix, no rooted key and no oracle call
     keyed, decided = [], []
+    monkeypatch.setattr(classify_mod, "closed_walk_prefix", keyed.append)
     monkeypatch.setattr(classify_mod, "rooted_refinement_key", keyed.append)
     monkeypatch.setattr(classify_mod, "are_isomorphic", lambda *a, **k: decided.append(a))
     verdicts = ci_full_census(1200, 1, oracle_cap=2000)
@@ -376,17 +384,30 @@ def test_ci_full_census_oracle_confirms_only_isomorphic_pairs(monkeypatch):
 
 @pytest.mark.parametrize("n, size", CI_CENSUS_GRID)
 def test_ci_full_census_roots_only_component_ties(monkeypatch, n, size):
-    keyed = []
+    # the walk prefix runs once on exactly the orbits that share a component
+    # count, the rooted key once on exactly those that also share the prefix
+    walked, rooted = [], []
 
-    def recorder(c):
-        keyed.append(c)
+    def walk_recorder(c):
+        walked.append(c)
+        return closed_walk_prefix(c)
+
+    def root_recorder(c):
+        rooted.append(c)
         return rooted_refinement_key(c)
 
-    monkeypatch.setattr(classify_mod, "rooted_refinement_key", recorder)
+    monkeypatch.setattr(classify_mod, "closed_walk_prefix", walk_recorder)
+    monkeypatch.setattr(classify_mod, "rooted_refinement_key", root_recorder)
     reps = [v.orbit_members[0] for v in ci_full_census(n, size)]
     components = [gcd(n, *rep.jumps) for rep in reps]
+    walks = [
+        (count, closed_walk_counts(n, rep.jumps)[:WALK_PREFIX])
+        for rep, count in zip(reps, components)
+    ]
     tied = {rep for rep, count in zip(reps, components) if components.count(count) > 1}
-    assert sorted(keyed) == sorted(tied) and len(keyed) == len(set(keyed))
+    walk_tied = {rep for rep, key in zip(reps, walks) if walks.count(key) > 1}
+    assert sorted(walked) == sorted(tied) and len(walked) == len(set(walked))
+    assert sorted(rooted) == sorted(walk_tied) and len(rooted) == len(set(rooted))
 
 
 def test_ci_full_census_prints_nothing_by_default():
@@ -399,6 +420,7 @@ def test_ci_full_census_prints_nothing_by_default():
 
 def test_ci_full_census_debug_record_is_self_consistent(caplog):
     caplog.set_level(logging.DEBUG, logger="circiso.classify")
+    rooted_keys = 0
     for n, size in CI_CENSUS_GRID:
         caplog.clear()
         verdicts = ci_full_census(n, size)
@@ -406,10 +428,13 @@ def test_ci_full_census_debug_record_is_self_consistent(caplog):
         stats = record.args
         assert stats["n"] == n and stats["size"] == size
         assert stats["orbits"] == len(verdicts)
-        assert stats["rooted_keys"] <= stats["orbits"]
+        assert stats["rooted_keys"] <= stats["walk_keys"] <= stats["orbits"]
         assert stats["oracle_calls"] == sum(comb(b, 2) for b in stats["buckets"])
         assert 2 * stats["isomorphic_pairs"] == sum(len(v.isomorphic_to) for v in verdicts)
         assert stats["elapsed_s"] >= 0
+        rooted_keys += stats["rooted_keys"]
+    # the walk prefix leaves few ties for the rooted key on the grid
+    assert rooted_keys <= 100
 
 
 def test_ci_full_census_respects_cap():

@@ -7,6 +7,7 @@ from circiso.adam import adam_orbit, same_adam_orbit
 from circiso.graphs import ConnectionSet, EdgeSet, build_edges, detect_circulant, gcd_signature
 from circiso.oracle import are_isomorphic
 
+from reference_data import CI_VERDICT_SHA256
 from suites import (
     adam_orbit_matches_brute,
     byte_tables_match_units,
@@ -22,6 +23,8 @@ from suites import (
     units_commute_with_theta,
     walk_counts_match_traces,
     walk_key_separates_only_non_isomorphic,
+    walk_prefix_matches_reference,
+    walk_stage_keeps_final_buckets,
 )
 
 
@@ -72,6 +75,20 @@ def test_walk_counts_are_adjacency_traces_up_to_16():
 def test_unequal_walk_counts_imply_non_isomorphic_up_to_18():
     bad, checked = walk_key_separates_only_non_isomorphic(18)
     assert bad == [] and checked == 4531
+
+
+def test_walk_prefix_matches_reference_walk_counts():
+    # every set at n <= 20 (odd n and sets holding n/2 included), then
+    # every set of size <= 4 up to n = 32
+    bad, checked = walk_prefix_matches_reference(20, 4, 32)
+    assert bad == [] and checked == 17662
+
+
+def test_walk_stage_keeps_the_final_ci_buckets():
+    # the 98 cells of the CI verdict digests: the walk prefix only spares
+    # rooted keys, it splits nothing the rooted key keeps together
+    bad, spared = walk_stage_keeps_final_buckets(sorted(CI_VERDICT_SHA256))
+    assert bad == [] and spared == 1804
 
 
 def test_rooted_key_is_invariant_under_units_and_type2_pairs():
