@@ -2,8 +2,8 @@
 
 Classifies isomorphisms of circulant graphs into multiplier (Type-1) and
 residue-shift (Type-2) classes, enumerates all Type-2 pairs of an order,
-verifies results with an exact graph-isomorphism oracle, and generates
-parametric Type-2 families.
+proves isomorphisms by edge-checked vertex maps or an exact
+graph-isomorphism oracle, and generates parametric Type-2 families.
 """
 
 from .adam import AdamOrbit, adam_orbit, same_adam_orbit
@@ -13,6 +13,7 @@ from .classify import (
     OrbitVerdict,
     PairCensus,
     admissible_m,
+    certify_isomorphism,
     ci_full_census,
     ci_theta_status,
     classify_pair,
@@ -35,6 +36,7 @@ from .graphs import (
     build_edges,
     detect_circulant,
     gcd_signature,
+    is_isomorphism,
     parse_connection_sets,
 )
 from .modarith import DegenerateSetError, divisors_gt1, reduce_set, reflexive_reduce
@@ -60,6 +62,7 @@ __all__ = [
     "apply_to_edges",
     "are_isomorphic",
     "build_edges",
+    "certify_isomorphism",
     "ci_full_census",
     "ci_theta_status",
     "classify_pair",
@@ -73,6 +76,7 @@ __all__ = [
     "family_m5",
     "family_m7",
     "gcd_signature",
+    "is_isomorphism",
     "jump_shortcut",
     "parse_census_json",
     "parse_connection_sets",

@@ -34,7 +34,8 @@ def adam_orbit(c: ConnectionSet) -> AdamOrbit:
     Each unit x <= n/2 takes one multiplication per jump, x*r reduced
     reflexively, and the images are deduplicated by their set of reduced
     jumps, each keeping the first, so the smallest, unit that produces
-    it.  A `ConnectionSet` is built only for each distinct member.  x and
+    it.  The members are sorted as jump tuples, and a `ConnectionSet` is
+    built only for each distinct member, in that order.  x and
     n - x produce the same reduced set, so the units up to n/2 reach every
     member; a unit permutes the nonzero reflexive classes, so every image
     has as many jumps as c.  The key is a frozenset, not a jump mask: a
@@ -50,8 +51,9 @@ def adam_orbit(c: ConnectionSet) -> AdamOrbit:
         if gcd(n, x) == 1:
             image = frozenset([y if y <= h else n - y for y in [x * r % n for r in c.jumps]])
             first_unit.setdefault(image, x)
-    witness = {ConnectionSet(n, tuple(sorted(image))): x for image, x in first_unit.items()}
-    return AdamOrbit(members=tuple(sorted(witness)), witness=witness)
+    ordered = sorted((tuple(sorted(image)), x) for image, x in first_unit.items())
+    witness = {ConnectionSet(n, jumps): x for jumps, x in ordered}
+    return AdamOrbit(members=tuple(witness), witness=witness)
 
 
 def same_adam_orbit(a: ConnectionSet, b: ConnectionSet) -> bool:

@@ -14,6 +14,10 @@ found to all unit multiples; the lemma in `enumerate_type2` proves this
 gives the pairs of running every probe on every jump set.  Deduplication
 is over pairs of jump sets, not pairs of multiplier orbits: distinct set
 pairs spanning the same two orbits count separately.
+
+`certify_isomorphism` turns the two kinds of move into vertex maps, each
+checked edge by edge before it is returned; the CI census and the
+`verify` command ask the oracle only about pairs that no move joins.
 """
 
 from __future__ import annotations
@@ -27,10 +31,16 @@ from time import perf_counter
 from typing import Callable, Optional
 
 from .adam import adam_orbit
-from .graphs import ConnectionSet, build_edges, closed_walk_prefix, rooted_refinement_key
+from .graphs import (
+    ConnectionSet,
+    build_edges,
+    closed_walk_prefix,
+    is_isomorphism,
+    rooted_refinement_key,
+)
 from .modarith import divisors_gt1, prime_divisors, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
-from .theta import _class_parts, _least_period, _mask_jumps, _rotate_classes
+from .theta import ThetaMap, _class_parts, _least_period, _mask_jumps, _rotate_classes
 from .theta import theta_image  # noqa: F401  (perfbench's tracer wraps `classify.theta_image`)
 
 Probe = tuple[int, int]  # (m, t)
@@ -156,6 +166,56 @@ def classify_pair(c: ConnectionSet, m: int, t: int) -> ClassificationRecord:
     if unit is not None:
         return ClassificationRecord(m, t, "type1", image=s, unit=unit)
     return ClassificationRecord(m, t, "type2", image=s)
+
+
+def certify_isomorphism(a: ConnectionSet, b: ConnectionSet) -> Optional[tuple[int, ...]]:
+    """A vertex map phi (phi[v] the image of v) from C_n(a) onto C_n(b)
+    that `graphs.is_isomorphism` has accepted, found by one move, or None.
+
+    Two kinds of move are tried, in this order:
+
+      a unit multiplier: a = x*b for a unit x, read off the witnesses of
+        the multiplier orbit of b (`adam_orbit`), and phi(v) = x^-1 * v;
+      a residue shift, then a unit: for each admissible m of a and each t
+        that the plan of (a, m) leaves circulant (the multiples of its q,
+        `_probe_plan`), the image mask (`theta._rotate_classes`) is looked
+        up among the members of that orbit; if theta_{m,t}(a) = x*b, then
+        phi = x^-1 o theta_{m,t} (`theta.ThetaMap.apply`).
+
+    The theory only proposes a map: multiplying by x^-1 carries C_n(x*b)
+    onto C_n(b), and theta_{m,t} carries C_n(a) onto the circulant of its
+    image (proof in `theta._rotate_classes`).  A map is returned only
+    after the edge check of `is_isomorphism`, whose proof uses none of it,
+    so a returned map proves a and b isomorphic.  None proves nothing: the
+    two may still be isomorphic by a map no move gives, and only the
+    oracle or a proven invariant can say "no".  Sets of different sizes
+    get None; orders that differ are refused.
+    """
+    n = a.n
+    if b.n != n:
+        raise ValueError(f"order mismatch: {n} vs {b.n}")
+    if len(a.jumps) != len(b.jumps):
+        return None
+    witness = adam_orbit(b).witness
+    x = witness.get(a)
+    if x is not None:
+        inverse = pow(x, -1, n)
+        phi = tuple(inverse * v % n for v in range(n))
+        if is_isomorphism(a, b, phi):
+            return phi
+    units = {sum(1 << r - 1 for r in s.jumps): x for s, x in witness.items()}
+    low_half = (1 << n // 2) - 1
+    for m, _ in admissible_m(a):
+        _, fixed, parts, q = _probe_plan(a, m)
+        for t in range(q, n // m, q):
+            x = units.get(_rotate_classes(n, t * m, fixed, parts) >> 1 & low_half)
+            if x is None:
+                continue
+            inverse, theta = pow(x, -1, n), ThetaMap(n, m, t).apply
+            phi = tuple(inverse * theta(v) % n for v in range(n))
+            if is_isomorphism(a, b, phi):
+                return phi
+    return None
 
 
 def require_three_jumps(c: ConnectionSet, allow_small: bool = False) -> None:
@@ -457,16 +517,18 @@ def ci_full_census(
     the hash of their closed-walk prefix (`graphs.closed_walk_prefix`);
     then, within every remaining group of two or more, by the hash of
     their rooted refinement key (`graphs.rooted_refinement_key`), so the
-    bucket tables hold one integer per key.  The oracle decides
-    isomorphism between every two orbits of a final bucket, whose edge
-    sets alone are built.  An orbit is CI exactly when no other orbit is
-    isomorphic to it.  When a mapping of expected verdicts (jump tuple ->
+    bucket tables hold one integer per key.  Every two orbit
+    representatives of a final bucket go first to `certify_isomorphism`,
+    which joins them by a unit multiplier or a residue shift and a unit
+    when such a move exists; the oracle decides only the pairs that no
+    move joins, and only their edge sets are built.  An orbit is CI
+    exactly when no other orbit is isomorphic to it.  When a mapping of expected verdicts (jump tuple ->
     True for CI) is supplied, disagreements are reported on the verdict
     rows as anomalies -- never raised.  Orders below 2 and sizes outside
     [1, n/2] are refused.  One DEBUG record on the `circiso.classify`
     logger gives the orbit count, the walk and rooted keys computed, the
-    final bucket sizes, the oracle calls, the isomorphic pairs and the
-    elapsed time.  The census never imports `logging`: a program that
+    final bucket sizes, the pairs certified by a move, the oracle calls,
+    the isomorphic pairs and the elapsed time.  The census never imports `logging`: a program that
     has not imported it cannot have enabled DEBUG, so the record is then
     skipped.
 
@@ -479,8 +541,14 @@ def ci_full_census(
     automorphisms, and then it carries closed walks at 0 onto closed
     walks at 0 and each round's colours onto equal colours.  Equal keys
     have equal hashes, so keying by the hash splits no isomorphic pair
-    either; a collision only merges two buckets, and the oracle still
-    decides every pair in it.
+    either; a collision only merges two buckets, and every pair in it is
+    still decided.  Within a bucket, a pair gets the verdict that comparing
+    it alone would give: a map returned by `certify_isomorphism` has
+    passed the edge check of `graphs.is_isomorphism`, whose proof shows it
+    is an isomorphism whatever move proposed it, so "isomorphic" is then
+    proven; a pair without such a map goes to the oracle, which answers
+    both ways.  So "non-isomorphic" comes only from the proven keys or the
+    oracle, and the oracle never relies on the residue-shift theory.
 
     The first two stages only spare rooted keys, which cost several times
     a walk prefix: at size 1 the component count tells every orbit apart,
@@ -494,8 +562,9 @@ def ci_full_census(
     components is the multiplicity of the eigenvalue W_2.  Up to hash
     collisions, the final buckets are therefore those of the rooted key
     alone.  The keys only prune: isospectral circulants need not be
-    isomorphic (Elspas and Turner, J. Combin. Theory 1970), and the
-    oracle still decides every pair that shares a final bucket.
+    isomorphic (Elspas and Turner, J. Combin. Theory 1970), and every
+    pair that shares a final bucket is still decided by a checked map or
+    the oracle.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -504,33 +573,43 @@ def ci_full_census(
     if n > oracle_cap:
         raise ValueError(f"order {n} exceeds the oracle cap {oracle_cap}")
     start = perf_counter()
-    orbits: dict[ConnectionSet, list[ConnectionSet]] = {}
     products = _order_tables(n)[0]
-    for _, images, _ in _orbit_minima(n, products, size):
-        members = sorted(ConnectionSet(n, tuple(_mask_jumps(w))) for w in set(images))
-        orbits[members[0]] = members
+    # jump tuples sort in C; ConnectionSet order is (n, jumps) order, the same here
+    orbit_jumps = sorted(
+        sorted(tuple(_mask_jumps(w)) for w in set(images))
+        for _, images, _ in _orbit_minima(n, products, size)
+    )
+    orbits = [tuple(ConnectionSet(n, jumps) for jumps in members) for members in orbit_jumps]
+    reps = [members[0] for members in orbits]
 
-    reps = sorted(orbits)
     by_components: dict[int, list[ConnectionSet]] = {}
     for rep in reps:
         by_components.setdefault(gcd(n, *rep.jumps), []).append(rep)
     by_walks = _split_buckets(by_components.values(), closed_walk_prefix)
     buckets = _split_buckets(by_walks, rooted_refinement_key)
     iso_partners: dict[ConnectionSet, list[ConnectionSet]] = {rep: [] for rep in reps}
-    oracle_calls = isomorphic_pairs = 0
+    certified = oracle_calls = isomorphic_pairs = 0
     for bucket in buckets:
-        edges = {rep: build_edges(rep) for rep in bucket}
+        edges: dict = {}  # built only for the pairs the oracle decides
         for a, b in itertools.combinations(bucket, 2):
-            oracle_calls += 1
-            if are_isomorphic(edges[a], edges[b], cap=oracle_cap):
-                isomorphic_pairs += 1
-                iso_partners[a].append(b)
-                iso_partners[b].append(a)
+            if certify_isomorphism(a, b) is not None:
+                certified += 1
+            else:
+                oracle_calls += 1
+                for rep in (a, b):
+                    if rep not in edges:
+                        edges[rep] = build_edges(rep)
+                if not are_isomorphic(edges[a], edges[b], cap=oracle_cap):
+                    continue
+            isomorphic_pairs += 1
+            iso_partners[a].append(b)
+            iso_partners[b].append(a)
     logging = sys.modules.get("logging")  # only a program that imported it can enable DEBUG
     if logging is not None:
         logging.getLogger(__name__).debug(
             "ci census n=%(n)d size=%(size)d: %(orbits)d orbits, %(walk_keys)d walk keys, "
-            "%(rooted_keys)d rooted keys, buckets %(buckets)s, %(oracle_calls)d oracle calls, "
+            "%(rooted_keys)d rooted keys, buckets %(buckets)s, %(certified)d certified pairs, "
+            "%(oracle_calls)d oracle calls, "
             "%(isomorphic_pairs)d isomorphic pairs, %(elapsed_s).3f s",
             {
                 "n": n,
@@ -539,6 +618,7 @@ def ci_full_census(
                 "walk_keys": sum(len(group) for group in by_components.values() if len(group) > 1),
                 "rooted_keys": sum(len(group) for group in by_walks),
                 "buckets": [len(bucket) for bucket in buckets],
+                "certified": certified,
                 "oracle_calls": oracle_calls,
                 "isomorphic_pairs": isomorphic_pairs,
                 "elapsed_s": perf_counter() - start,
@@ -546,8 +626,7 @@ def ci_full_census(
         )
 
     verdicts = []
-    for rep in reps:
-        members = tuple(orbits[rep])
+    for rep, members in zip(reps, orbits):
         ci = not iso_partners[rep]
         anomaly = None
         if expected_ci is not None:

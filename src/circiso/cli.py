@@ -151,8 +151,13 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     left = _parse_set(args.n, args.left)
     right = _parse_set(args.n, args.right)
-    iso = are_isomorphic(build_edges(left), build_edges(right), cap=args.oracle_cap)
-    adam = same_adam_orbit(left, right)
+    if args.n > args.oracle_cap:
+        raise ValueError(f"order {args.n} exceeds the exact-search cap {args.oracle_cap}")
+    # "yes" from a map that passed the edge check, else the oracle decides
+    iso = classify_mod.certify_isomorphism(left, right) is not None or are_isomorphic(
+        build_edges(left), build_edges(right), cap=args.oracle_cap
+    )
+    adam = same_adam_orbit(right, left)  # the orbit of right is the one just built
     print(f"isomorphic: {'yes' if iso else 'no'}")
     print(f"same multiplier orbit: {'yes' if adam else 'no'}")
     if iso and not adam:
@@ -224,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("ci-census", help="oracle-backed CI census of one size class")
+    p = sub.add_parser("ci-census", help="CI census of one size class (checked moves, then the oracle)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
@@ -238,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_family)
 
-    p = sub.add_parser("verify", help="oracle + orbit check for one pair")
+    p = sub.add_parser("verify", help="isomorphism (checked move or oracle) and orbit check for one pair")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)

@@ -3,8 +3,9 @@
 A circulant graph is named by its order n and a reduced jump set
 R subseteq [1, n//2]: vertex x is joined to x +- r (mod n) for every r in R.
 This module materialises such graphs, recognises whether an arbitrary edge
-set is circulant, and computes the two invariants that bucket the CI
-census: a prefix of the closed-walk counts and the rooted
+set is circulant, checks that a vertex map carries one circulant onto
+another (`is_isomorphism`), and computes the two invariants that bucket
+the CI census: a prefix of the closed-walk counts and the rooted
 colour-refinement key.
 """
 
@@ -80,6 +81,40 @@ def build_edges(c: ConnectionSet) -> EdgeSet:
         for x in range(n):
             pairs.add(_edge(x, (x + r) % n))
     return EdgeSet(n, frozenset(pairs))
+
+
+def is_isomorphism(source: ConnectionSet, target: ConnectionSet, phi) -> bool:
+    """Whether the vertex map phi (phi[v] the image of v) is an isomorphism
+    from C_n(R) onto C_n(S), R the jumps of `source` and S those of
+    `target`, checked edge by edge in O(n*|R|).
+
+    Accepts exactly when phi is a bijection of Z_n, |R| = |S|, n/2 lies in
+    both R and S or in neither, and phi(v + r) - phi(v) lies in +-S for
+    every vertex v and every r in R.
+
+    Proof.  The edges of C_n(R) are the pairs {v, v + r}, v in Z_n and r in
+    R.  For r < n/2 the n pairs of r are distinct, and they differ by +-r,
+    so no other jump gives them; for r = n/2 each pair arises from v and
+    v + n/2.  So C_n(R) has n*|R| edges, less n/2 when n/2 is in R, and the
+    second and third conditions give C_n(S) the same number.  By the last
+    condition phi carries each edge {v, v + r} to a pair of C_n(S), and a
+    bijection of vertices is injective on unordered pairs.  An injective
+    map between finite sets of equal size is onto, so phi maps the edges
+    of C_n(R) onto those of C_n(S), and non-edges onto non-edges: an
+    isomorphism.  Nothing here depends on how phi was found.
+    """
+    n, r_jumps, s_jumps = source.n, source.jumps, target.jumps
+    if target.n != n or len(phi) != n or sorted(phi) != list(range(n)):
+        return False
+    if len(r_jumps) != len(s_jumps) or (2 * r_jumps[-1] == n) != (2 * s_jumps[-1] == n):
+        return False
+    in_s = [False] * n
+    for s in s_jumps:
+        in_s[s] = in_s[n - s] = True
+    phi = list(phi)
+    return all(
+        in_s[(y - x) % n] for r in r_jumps for x, y in zip(phi, phi[r:] + phi[:r])
+    )
 
 
 def detect_circulant(n: int, e: EdgeSet):

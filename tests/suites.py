@@ -22,9 +22,10 @@ from circiso.classify import (
     _orbit_minima,
     _probe_plan,
     _split_buckets,
+    certify_isomorphism,
     classify_pair,
 )
-from circiso.graphs import WALK_PREFIX, closed_walk_prefix, rooted_refinement_key
+from circiso.graphs import WALK_PREFIX, closed_walk_prefix, is_isomorphism, rooted_refinement_key
 from circiso.theta import (
     _class_parts,
     _least_period,
@@ -69,6 +70,16 @@ def edge_level_image(n: int, m: int, t: int, jumps):
     zero_nbrs = {v for edge in image if 0 in edge for v in edge if v != 0}
     candidate = tuple(sorted({reflexive_jump(n, v) for v in zero_nbrs}))
     return candidate if circulant_edge_set(n, candidate) == image else None
+
+
+def vertex_map_is_isomorphism(n: int, left, right, phi) -> bool:
+    """Whether phi (phi[v] the image of v) is a bijection of Z_n carrying
+    the edge set of C_n(left) exactly onto that of C_n(right), both rebuilt
+    by `circulant_edge_set`."""
+    if sorted(phi) != list(range(n)):
+        return False
+    image = frozenset(frozenset(phi[v] for v in edge) for edge in circulant_edge_set(n, left))
+    return image == circulant_edge_set(n, right)
 
 
 def closed_walk_counts(n: int, jumps, lengths=None) -> tuple[int, ...]:
@@ -581,3 +592,89 @@ def adam_orbit_matches_brute(max_n: int = 24, max_size: int = 4) -> list[str]:
                 if witness != brute_orbit_witness(n, combo):
                     bad.append(f"orbit witnesses differ at n={n}, R={combo}")
     return bad
+
+
+def move_partners(n: int, jumps) -> set[tuple[int, ...]]:
+    """The jump sets one move reaches from C_n(jumps): the unit multiples of
+    jumps and of every circulant image `edge_level_image(n, m, t, jumps)`,
+    m > 1 dividing n and some jump, 1 <= t <= n/m - 1."""
+    images = {tuple(jumps)}
+    for m in range(2, n):
+        if n % m or all(r % m for r in jumps):
+            continue
+        for t in range(1, n // m):
+            image = edge_level_image(n, m, t, jumps)
+            if image is not None:
+                images.add(image)
+    return set().union(*(brute_unit_orbit(n, image) for image in images))
+
+
+def certificates_match_moves(max_n: int = 16, extra=((24, 3),)) -> tuple[list[str], int]:
+    """For every ordered pair (a, b) of same-size jump sets at every order
+    n <= max_n, and at each (n, top) of `extra` at sizes 1..top:
+    `certify_isomorphism(a, b)` returns a map exactly when b is among the
+    package-free `move_partners` of a, and every map it returns passes the
+    package-free `vertex_map_is_isomorphism` and is confirmed by the
+    oracle.  Returns the violations and the number of maps checked."""
+    cells = [(n, size) for n in range(2, max_n + 1) for size in range(1, n // 2 + 1)]
+    cells += [(n, size) for n, top in extra for size in range(1, top + 1)]
+    bad, certified = [], 0
+    for n, size in cells:
+        sets = list(itertools.combinations(range(1, n // 2 + 1), size))
+        partners = {a: move_partners(n, a) for a in sets}
+        for b in sets:  # the outer loop, so the memoised orbit of b is reused
+            right = ConnectionSet(n, b)
+            for a in sets:
+                phi = certify_isomorphism(ConnectionSet(n, a), right)
+                if (phi is not None) != (b in partners[a]):
+                    found = "a map" if phi is not None else "no map"
+                    bad.append(f"certify_isomorphism(C_{n}{a}, C_{n}{b}) gave {found}")
+                if phi is None:
+                    continue
+                certified += 1
+                if not vertex_map_is_isomorphism(n, a, b, phi):
+                    bad.append(f"the map for C_{n}{a} -> C_{n}{b} is not an isomorphism")
+                elif not are_isomorphic(build_edges(ConnectionSet(n, a)), build_edges(right)):
+                    bad.append(f"the oracle denies C_{n}{a} ~ C_{n}{b}")
+    return bad, certified
+
+
+def certificates_join_type2_pairs(cells=((27, 3, 4), (32, 3, 4))) -> tuple[list[str], int]:
+    """For every Type-2 census pair (a, b) of each (n, size_min, size_max)
+    of `cells` and every package-free unit multiple b' of b,
+    `certify_isomorphism` returns a map from a onto b' and one from b'
+    onto a, and `vertex_map_is_isomorphism` accepts both.  Units x with
+    x^2 != +-1 occur here, unlike at the orders of
+    `certificates_match_moves`, so a map that used x for x^-1 is caught.
+    Returns the violations and the number of maps checked."""
+    bad, checked = [], 0
+    for n, size_min, size_max in cells:
+        for a, b in enumerate_type2(n, size_min, size_max).pairs:
+            for multiple in sorted(brute_unit_orbit(n, b.jumps)):
+                for left, right in ((a.jumps, multiple), (multiple, a.jumps)):
+                    phi = certify_isomorphism(ConnectionSet(n, left), ConnectionSet(n, right))
+                    checked += 1
+                    if phi is None or not vertex_map_is_isomorphism(n, left, right, phi):
+                        bad.append(f"no checked map from C_{n}{left} onto C_{n}{right}")
+    return bad, checked
+
+
+def is_isomorphism_matches_edges(max_n: int = 6) -> tuple[list[str], int]:
+    """`graphs.is_isomorphism` agrees with `vertex_map_is_isomorphism` on
+    every permutation of Z_n and every pair of jump sets, sizes equal or
+    not, at every order n <= max_n.  Returns the violations and the number
+    of accepted maps."""
+    bad, accepted = [], 0
+    for n in range(2, max_n + 1):
+        sets = [
+            combo
+            for size in range(1, n // 2 + 1)
+            for combo in itertools.combinations(range(1, n // 2 + 1), size)
+        ]
+        for phi in itertools.permutations(range(n)):
+            for a, b in itertools.product(sets, repeat=2):
+                want = vertex_map_is_isomorphism(n, a, b, phi)
+                if is_isomorphism(ConnectionSet(n, a), ConnectionSet(n, b), phi) != want:
+                    bad.append(f"is_isomorphism disagrees on C_{n}{a} -> C_{n}{b} by {phi}")
+                accepted += want
+    return bad, accepted

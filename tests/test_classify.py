@@ -13,6 +13,7 @@ import circiso.classify as classify_mod
 from circiso.adam import adam_orbit
 from circiso.classify import (
     admissible_m,
+    certify_isomorphism,
     ci_full_census,
     ci_theta_status,
     classify_pair,
@@ -44,6 +45,7 @@ from suites import (
     closed_walk_counts,
     edge_level_image,
     type2_pair_violations,
+    vertex_map_is_isomorphism,
 )
 
 
@@ -368,18 +370,71 @@ CI_CENSUS_GRID = ((24, 3), (24, 4), (24, 5), (32, 3))  # the perfbench ci_census
 
 
 def test_ci_full_census_oracle_confirms_only_isomorphic_pairs(monkeypatch):
-    # the rooted key separates every non-isomorphic walk tie on the grid, so
-    # each oracle call finds an isomorphism
-    verdicts = []
+    # a move joins every pair that shares a final bucket on the grid, so all
+    # 16 pairs are certified by a checked map and the oracle is never asked
+    decided, certified = [], []
 
-    def recorder(left, right, **kwargs):
-        verdicts.append(are_isomorphic(left, right, **kwargs))
-        return verdicts[-1]
+    def recorder(a, b):
+        certified.append((a, b, certify_isomorphism(a, b)))
+        return certified[-1][2]
 
-    monkeypatch.setattr(classify_mod, "are_isomorphic", recorder)
+    monkeypatch.setattr(classify_mod, "are_isomorphic", lambda *a, **k: decided.append(a))
+    monkeypatch.setattr(classify_mod, "certify_isomorphism", recorder)
     for n, size in CI_CENSUS_GRID:
         ci_full_census(n, size)
-    assert len(verdicts) == 16 and all(verdicts)
+    assert decided == [] and len(certified) == 16
+    assert all(vertex_map_is_isomorphism(a.n, a.jumps, b.jumps, phi) for a, b, phi in certified)
+
+
+C25_LEFT = ConnectionSet(25, (1, 4, 5, 6, 9, 11))
+C25_RIGHT = ConnectionSet(25, (1, 4, 6, 9, 10, 11))
+
+
+def test_oracle_decides_the_pair_that_no_move_joins(monkeypatch):
+    # an isomorphic pair outside the reach of units and residue shifts: no
+    # map is offered either way, and the one oracle call of the (25, 6)
+    # census joins the two orbits
+    assert certify_isomorphism(C25_LEFT, C25_RIGHT) is None
+    assert certify_isomorphism(C25_RIGHT, C25_LEFT) is None
+    decided = []
+
+    def recorder(left, right, **kwargs):
+        decided.append(are_isomorphic(left, right, **kwargs))
+        return decided[-1]
+
+    monkeypatch.setattr(classify_mod, "are_isomorphic", recorder)
+    non_ci = [v for v in ci_full_census(25, 6) if not v.ci]
+    assert decided == [True] and len(non_ci) == 2
+    left, right = sorted(non_ci, key=lambda v: C25_RIGHT in v.orbit_members)
+    assert C25_LEFT in left.orbit_members and C25_RIGHT in right.orbit_members
+    assert left.isomorphic_to == (right.orbit_members[0],)
+
+
+def test_ci_full_census_needs_the_oracle_first_at_order_25(monkeypatch):
+    # at every order up to 25 and every size, the keys separate all
+    # non-isomorphic pairs and a move joins every isomorphic one, except
+    # the one pair at (25, 6) above
+    decided = []
+
+    def recorder(left, right, **kwargs):
+        decided.append((left.n, are_isomorphic(left, right, **kwargs)))
+        return decided[-1][1]
+
+    monkeypatch.setattr(classify_mod, "are_isomorphic", recorder)
+    for n in range(2, 26):
+        for size in range(1, n // 2 + 1):
+            ci_full_census(n, size)
+    assert decided == [(25, True)]
+
+
+def test_certify_isomorphism_refuses_orders_and_skips_sizes():
+    assert certify_isomorphism(ConnectionSet(16, (1, 2)), ConnectionSet(16, (1, 2, 3))) is None
+    with pytest.raises(ValueError):
+        certify_isomorphism(ConnectionSet(16, (1, 2)), ConnectionSet(18, (1, 2)))
+    # the identity certifies a set against itself
+    assert certify_isomorphism(ConnectionSet(16, (1, 2)), ConnectionSet(16, (1, 2))) == tuple(
+        range(16)
+    )
 
 
 @pytest.mark.parametrize("n, size", CI_CENSUS_GRID)
@@ -429,7 +484,9 @@ def test_ci_full_census_debug_record_is_self_consistent(caplog):
         assert stats["n"] == n and stats["size"] == size
         assert stats["orbits"] == len(verdicts)
         assert stats["rooted_keys"] <= stats["walk_keys"] <= stats["orbits"]
-        assert stats["oracle_calls"] == sum(comb(b, 2) for b in stats["buckets"])
+        assert stats["certified"] + stats["oracle_calls"] == sum(
+            comb(b, 2) for b in stats["buckets"]
+        )
         assert 2 * stats["isomorphic_pairs"] == sum(len(v.isomorphic_to) for v in verdicts)
         assert stats["elapsed_s"] >= 0
         rooted_keys += stats["rooted_keys"]

@@ -10,6 +10,7 @@ import pytest
 
 from circiso import cli
 from circiso.cli import main
+from circiso.oracle import are_isomorphic
 from reference_data import CLI_STDOUT_SHA256
 
 
@@ -187,13 +188,38 @@ def test_verify_pair(capsys):
     assert "not isomorphic" in out
 
 
-def test_verify_above_recursion_limit_with_raised_cap(capsys):
-    # the search maps one vertex per level, so order 1200 is 1200 levels deep
+def test_verify_above_recursion_limit_with_raised_cap(capsys, monkeypatch):
+    # 7 is a unit of Z_1200, so a checked unit map answers and the oracle,
+    # which would search 1200 levels deep, is never called
+    decided = []
+    monkeypatch.setattr(cli, "are_isomorphic", lambda *a, **k: decided.append(a))
     code, out, _ = run_cli(
         capsys, "verify", "--n", "1200", "--left", "1,2", "--right", "7,14", "--oracle-cap", "2000"
     )
-    assert code == 0
-    assert "isomorphic: yes" in out
+    assert code == 0 and decided == []
+    assert "isomorphic: yes" in out and "verdict: Type-1 isomorphic" in out
+
+
+@pytest.mark.parametrize(
+    "n, left, right, answer",
+    [
+        # isomorphic by no unit and no residue shift: the oracle says yes
+        ("25", "1,4,5,6,9,11", "1,4,6,9,10,11", "yes"),
+        # equal closed-walk counts at every length, yet not isomorphic
+        ("24", "1,3,9", "1,5,7", "no"),
+    ],
+)
+def test_verify_asks_the_oracle_when_no_move_joins(capsys, monkeypatch, n, left, right, answer):
+    decided = []
+
+    def recorder(*args, **kwargs):
+        decided.append(are_isomorphic(*args, **kwargs))
+        return decided[-1]
+
+    monkeypatch.setattr(cli, "are_isomorphic", recorder)
+    code, out, _ = run_cli(capsys, "verify", "--n", n, "--left", left, "--right", right)
+    assert code == 0 and decided == [answer == "yes"]
+    assert out.startswith(f"isomorphic: {answer}\n")
 
 
 def test_scale(capsys):
@@ -219,6 +245,11 @@ def test_bad_set_literal_exits_nonzero(capsys):
         (
             ["scale", "--n", "16", "--left", "1,2,7", "--right", "2,3,5", "--k", "1"],
             "scale factor must be >= 2, got 1",
+        ),
+        # a unit map (x = 3) joins this pair, but the cap is refused first
+        (
+            ["verify", "--n", "40", "--left", "1,2", "--right", "3,6"],
+            "order 40 exceeds the exact-search cap 32",
         ),
     ],
 )

@@ -8,6 +8,7 @@ from circiso.graphs import (
     build_edges,
     detect_circulant,
     gcd_signature,
+    is_isomorphism,
     parse_connection_sets,
 )
 
@@ -102,3 +103,20 @@ def test_text_format_rejects_garbage():
         parse_connection_sets("sixteen: 1,2")
     with pytest.raises(ValueError):
         parse_connection_sets("16 1,2")
+
+
+def test_is_isomorphism_refuses_what_is_no_bijection_or_no_match():
+    a, b = ConnectionSet(8, (1, 2)), ConnectionSet(8, (2, 3))
+    times_three = [3 * v % 8 for v in range(8)]
+    assert is_isomorphism(a, b, times_three)  # 3 * {1, 2} = {3, 6} = +-{2, 3}
+    assert not is_isomorphism(b, a, list(range(8)))
+    assert not is_isomorphism(a, b, times_three[:-1])  # too short
+    # maps that are no bijection, though every difference lands in +-{2}
+    half = ConnectionSet(4, (2,))
+    assert not is_isomorphism(half, half, [0, 0, 2, 2])
+    assert not is_isomorphism(half, half, [4, 5, 6, 7])
+    assert not is_isomorphism(a, ConnectionSet(8, (1, 2, 3)), times_three)  # sizes differ
+    # every difference lands in +-{1}, but the jump 2 = n/2 gives C_4(2) two
+    # edges against the four of C_4(1)
+    assert not is_isomorphism(ConnectionSet(4, (2,)), ConnectionSet(4, (1,)), [0, 2, 1, 3])
+    assert not is_isomorphism(a, ConnectionSet(10, (1, 2)), times_three)

@@ -123,3 +123,8 @@ def test_unit_multiples_always_isomorphic():
                     continue
                 scaled = sorted({reflexive_jump(n, x * r) for r in c.jumps})
                 assert are_isomorphic(_edges(n, c.jumps), _edges(n, tuple(scaled)))
+
+
+def test_search_deeper_than_the_recursion_limit():
+    # the search maps one vertex per level, so order 1200 is 1200 levels deep
+    assert are_isomorphic(_edges(1200, (1, 2)), _edges(1200, (7, 14)), cap=2000)

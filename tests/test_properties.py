@@ -11,7 +11,10 @@ from reference_data import CI_VERDICT_SHA256
 from suites import (
     adam_orbit_matches_brute,
     byte_tables_match_units,
+    certificates_join_type2_pairs,
+    certificates_match_moves,
     classify_pair_matches_reference,
+    is_isomorphism_matches_edges,
     jump2_triple_necessity,
     least_period_decides_shifts,
     orbit_symmetry,
@@ -58,6 +61,26 @@ def test_byte_tables_and_orbit_minima_up_to_24():
 
 def test_units_commute_with_theta_up_to_20():
     assert units_commute_with_theta(20) == []
+
+
+def test_is_isomorphism_matches_edge_level_on_every_map_up_to_6():
+    # every permutation of Z_n against every pair of jump sets
+    bad, accepted = is_isomorphism_matches_edges(6)
+    assert bad == [] and accepted == 1192
+
+
+def test_certified_maps_are_isomorphisms_and_found_for_every_move():
+    # every same-size pair at n <= 16, and n = 24 at sizes <= 3: a map is
+    # returned exactly for the pairs one move joins, and each map returned
+    # carries edges onto edges and is confirmed by the oracle
+    bad, certified = certificates_match_moves(16, ((24, 3),))
+    assert bad == [] and certified == 3419
+
+
+def test_certified_maps_join_every_type2_pair_and_its_unit_multiples():
+    # n = 27 and 32 at sizes 3 and 4: 87 census pairs, both directions
+    bad, checked = certificates_join_type2_pairs(((27, 3, 4), (32, 3, 4)))
+    assert bad == [] and checked == 654
 
 
 def test_orbit_symmetry_exhaustive_triples():
