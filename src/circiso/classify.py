@@ -40,7 +40,14 @@ from .graphs import (
 )
 from .modarith import divisors_gt1, prime_divisors, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
-from .theta import ThetaMap, _class_parts, _least_period, _mask_jumps, _rotate_classes
+from .theta import (
+    ThetaMap,
+    _class_parts,
+    _least_period,
+    _mask_jumps,
+    _nonunit_steps,
+    _rotate_classes,
+)
 from .theta import theta_image  # noqa: F401  (perfbench's tracer wraps `classify.theta_image`)
 
 Probe = tuple[int, int]  # (m, t)
@@ -180,7 +187,12 @@ def certify_isomorphism(a: ConnectionSet, b: ConnectionSet) -> Optional[tuple[in
         that the plan of (a, m) leaves circulant (the multiples of its q,
         `_probe_plan`), the image mask (`theta._rotate_classes`) is looked
         up among the members of that orbit; if theta_{m,t}(a) = x*b, then
-        phi = x^-1 o theta_{m,t} (`theta.ThetaMap.apply`).
+        phi = x^-1 o theta_{m,t} (`theta.ThetaMap.apply`).  The t with
+        n | t*m^2 are skipped, and with them every m whose circulant t
+        all have that form (q = n / gcd(n, m^2)): such a shift is the unit
+        multiplier 1 + t*m (lemma in `theta._nonunit_steps`), so its image
+        (1 + t*m)*a is a member of b's orbit only when a is, and then the
+        unit-multiplier move has already answered.
 
     The theory only proposes a map: multiplying by x^-1 carries C_n(x*b)
     onto C_n(b), and theta_{m,t} carries C_n(a) onto the circulant of its
@@ -207,7 +219,12 @@ def certify_isomorphism(a: ConnectionSet, b: ConnectionSet) -> Optional[tuple[in
     low_half = (1 << n // 2) - 1
     for m, _ in admissible_m(a):
         _, fixed, parts, q = _probe_plan(a, m)
+        q0 = n // gcd(n, m * m)
+        if q == q0:
+            continue  # every circulant shift of m is a unit multiplier
         for t in range(q, n // m, q):
+            if t % q0 == 0:
+                continue  # a unit multiplier: theta_{m,t}(a) = (1 + t*m)*a
             x = units.get(_rotate_classes(n, t * m, fixed, parts) >> 1 & low_half)
             if x is None:
                 continue
@@ -295,9 +312,12 @@ def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int
     jump r to the jump-mask bit of x*r, and `symmetric` maps r to the bits
     of r and n - r.  The images of distinct jumps are distinct bits in
     both (a unit permutes the reflexive jumps), so a sum of lookups is
-    their OR.  `moduli` holds, for each m | n with 1 < m <= n/2, the
-    triple (m, jump mask of the jumps m divides, n-bit mask of the
-    multiples of m in Z_n); `primes` are the prime divisors of n.
+    their OR.  `moduli` holds, for each m | n with 1 < m <= n/2 whose
+    steps `theta._nonunit_steps(n, m)` are not empty, the quadruple (m,
+    jump mask of the jumps m divides, n-bit mask of the multiples of m in
+    Z_n, steps); a modulus without steps has only unit multipliers among
+    its shifts, so it never gives a Type-2 partner and is left out.
+    `primes` are the prime divisors of n.
     """
     h = n // 2
     products = tuple(
@@ -307,9 +327,9 @@ def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int
     )
     symmetric = _byte_table(h, lambda r: 1 << r | 1 << (n - r))
     moduli = tuple(
-        (m, sum(1 << (r - 1) for r in range(m, h + 1, m)), ((1 << n) - 1) // ((1 << m) - 1))
+        (m, sum(1 << (r - 1) for r in range(m, h + 1, m)), ((1 << n) - 1) // ((1 << m) - 1), steps)
         for m in divisors_gt1(n)
-        if m <= h
+        if m <= h and (steps := _nonunit_steps(n, m))
     )
     primes = tuple(prime_divisors(n))
     return products, symmetric, moduli, primes
@@ -347,15 +367,22 @@ def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
     """Type-2 pairs of jump masks found from the orbit minima of one jump-set
     size, with their witnesses (picklable worker entry).
 
-    Each minimum R is probed at every admissible m, and only at the t
-    whose image is circulant: the multiples of q = d / gcd(d, m^2), d the
-    least period of A = {s in +-R : m does not divide s}
-    (`theta._least_period`, whose docstring proves it).  Each of those
-    images is built by `theta._rotate_classes`.  A circulant image S
-    outside the orbit of R (which holds R, so self images are out too) is
-    a Type-2 partner, and (xR, xS) is recorded with the same witness for
-    every unit x <= n/2 (x and n - x give the same reduced set); both
-    sides are multiplied through the byte tables of `_order_tables`.
+    Each minimum R is first tested at every admissible m for a circulant
+    shift that is not a unit multiplier: A = {s in +-R : m does not divide
+    s} must be closed under one of the steps n/p that `_order_tables`
+    holds for m (`theta._nonunit_steps`, whose docstring proves the
+    lemma and this test).  A modulus that fails is skipped, since a unit
+    multiplier maps R into its own orbit.  A modulus that passes is
+    probed only at the t whose image is circulant: the multiples of
+    q = d / gcd(d, m^2), d the least period of A (`theta._least_period`,
+    whose docstring proves it).  Passing means q < q0 = n / gcd(n, m^2)
+    <= n/m, so t = q is always in range and the scan needs no range test.
+    Each of those images is built by `theta._rotate_classes`.  A circulant
+    image S outside the orbit of R (which holds R, so self images are out
+    too) is a Type-2 partner, and (xR, xS) is recorded with the same
+    witness for every unit x <= n/2 (x and n - x give the same reduced
+    set); both sides are multiplied through the byte tables of
+    `_order_tables`.
 
     When the image S_1 at t = q lies in the orbit, S_1 = xR for a unit x,
     no later t of that m gives a partner, so the scan of m stops.  Proof:
@@ -368,21 +395,24 @@ def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
     n, k = args
     products, symmetric, moduli, primes = _order_tables(n)
     h = n // 2
-    low_half = (1 << h) - 1
+    low_half, full = (1 << h) - 1, (1 << n) - 1
     found: dict[tuple[int, int], set[Probe]] = {}
     for v, images, keys in _orbit_minima(n, products, k):
         orbit = set(images)
         a = sum(map(symmetric, keys))
         partners: dict[int, list[Probe]] = {}
-        for m, divisible, mult in moduli:
+        for m, divisible, mult, steps in moduli:
             if not v & divisible:
                 continue
             fixed = a & mult
             moving = a ^ fixed
+            for e in steps:  # theta._closed_under(n, moving, e), inlined
+                if (moving << e | moving >> (n - e)) & full == moving:
+                    break
+            else:
+                continue  # every circulant shift of m is a unit multiplier
             d = _least_period(n, primes, moving)
             q = d // gcd(d, m * m)
-            if q >= n // m:
-                continue
             parts = _class_parts(m, mult, moving)
             for t in range(q, n // m, q):
                 w = _rotate_classes(n, t * m, fixed, parts) >> 1 & low_half
@@ -522,14 +552,15 @@ def ci_full_census(
     which joins them by a unit multiplier or a residue shift and a unit
     when such a move exists; the oracle decides only the pairs that no
     move joins, and only their edge sets are built.  An orbit is CI
-    exactly when no other orbit is isomorphic to it.  When a mapping of expected verdicts (jump tuple ->
-    True for CI) is supplied, disagreements are reported on the verdict
-    rows as anomalies -- never raised.  Orders below 2 and sizes outside
-    [1, n/2] are refused.  One DEBUG record on the `circiso.classify`
-    logger gives the orbit count, the walk and rooted keys computed, the
-    final bucket sizes, the pairs certified by a move, the oracle calls,
-    the isomorphic pairs and the elapsed time.  The census never imports `logging`: a program that
-    has not imported it cannot have enabled DEBUG, so the record is then
+    exactly when no other orbit is isomorphic to it.  When a mapping of
+    expected verdicts (jump tuple -> True for CI) is supplied,
+    disagreements are reported on the verdict rows as anomalies -- never
+    raised.  Orders below 2 and sizes outside [1, n/2] are refused.  One
+    DEBUG record on the `circiso.classify` logger gives the orbit count,
+    the walk and rooted keys computed, the final bucket sizes, the pairs
+    certified by a move, the oracle calls, the isomorphic pairs and the
+    elapsed time.  The census never imports `logging`: a program that has
+    not imported it cannot have enabled DEBUG, so the record is then
     skipped.
 
     Isomorphic circulants share all three keys, so the buckets separate

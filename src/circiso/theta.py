@@ -7,41 +7,50 @@ graph it sometimes lands on another circulant graph; when that image lies
 outside the source's multiplier orbit the two graphs witness a Type-2
 isomorphism.
 
-The mask kernel `_shift_mask` decides a probe from the jump set alone, as
-a bit mask of +-R, by the closed form proved in its docstring: the image
-is circulant iff the jumps A of +-R that m does not divide are closed
-under +t*m^2, one rotation compare (`_closed_under`), and the image then
-rotates each residue class i by i*t*m (`_rotate_classes`, the one image
-builder).  The census in `classify` and the probe classifier
+The mask kernel `_shift_mask` decides a probe from the jump set alone,
+as a bit mask of +-R, by the closed form proved in its docstring: the
+image is circulant iff the jumps A of +-R that m does not divide are
+closed under +t*m^2, one rotation compare (`_closed_under`), and the
+image then rotates each residue class i by i*t*m (`_rotate_classes`, the
+one image builder).  The census in `classify` and the probe classifier
 `classify.classify_pair` both decide every t of a modulus at once: the
 circulant shifts are the multiples of one q derived from the least
 period of A (`_least_period`, proof in its docstring), and only their
-images are built, with the same builder.  `classify_pair` reads q, the
-mask of +-R, its fixed bits and its class parts from one plan per (set,
-modulus), `classify._probe_plan`; shift tables and the CLI take their
-verdicts from it, so they refuse an m that divides gcd(n, r) for no jump
-r.  `theta_image` is a thin adapter over `_shift_mask` (ConnectionSet ->
-mask -> ThetaResult) for the families and the tests.  The closed form
-is tested against the edge-level definition in `tests/suites.py`
+images are built, with the same builder.  The census first drops every
+modulus whose circulant shifts are all unit multipliers: a shift with
+n | t*m^2 is multiplication by the unit 1 + t*m, so its image stays in
+the multiplier orbit, and A closed under one of the few steps of
+`_nonunit_steps` tells whether any other shift is circulant (lemma and
+proof in its docstring); `classify.certify_isomorphism` skips the same
+shifts.  `classify_pair` reads q, the mask of +-R, its fixed bits and
+its class parts from one plan per (set, modulus),
+`classify._probe_plan`; shift tables and the CLI take their verdicts
+from it, so they refuse an m that divides gcd(n, r) for no jump r.
+`theta_image` is a thin adapter over `_shift_mask` (ConnectionSet ->
+mask -> ThetaResult) for the families and the tests.  The closed form is
+tested against the edge-level definition in `tests/suites.py`
 (`edge_level_image`), which shares no code with the package, the
 least-period shifts against `_shift_mask` at every t
-(`least_period_decides_shifts`), and `classify_pair` against the
-edge-level image and a brute-force orbit on every admissible probe
-(`classify_pair_matches_reference`).  The edge-level `apply_to_edges`,
-`jump_shortcut` (circulant iff the elementwise image of the symmetric
-jump set is closed under negation; its negatives are conclusive, but it
-is exact only for m = 2) and `shortcut_disagreement` have no caller in
-the package: they survive only because the benchmark under `perfbench/`
-traces them.
+(`least_period_decides_shifts`), the skipped moduli against the
+edge-level images (`nonunit_steps_match_edges`), the lemma on the
+definition (`unit_shifts_are_unit_multipliers`), and `classify_pair`
+against the edge-level image and a brute-force orbit on every admissible
+probe (`classify_pair_matches_reference`).  The edge-level
+`apply_to_edges`, `jump_shortcut` (circulant iff the elementwise image
+of the symmetric jump set is closed under negation; its negatives are
+conclusive, but it is exact only for m = 2) and `shortcut_disagreement`
+have no caller in the package: they survive only because the benchmark
+under `perfbench/` traces them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .graphs import ConnectionSet, EdgeSet
-from .modarith import reduce_set
+from .modarith import prime_divisors, reduce_set
 
 
 @dataclass(frozen=True)
@@ -120,6 +129,39 @@ def _least_period(n: int, primes, v: int) -> int:
         while d % p == 0 and _closed_under(n, v, d // p):
             d //= p
     return d
+
+
+def _nonunit_steps(n: int, m: int) -> tuple[int, ...]:
+    """The steps n/p, one per prime p dividing q0 = n / gcd(n, m^2).
+
+    The moving jumps A = {s in +-R : m does not divide s} are closed under
+    +n/p for one of them iff some shift (m, t) with 1 <= t <= n/m - 1 is
+    circulant and is not a unit multiplier.  Only such a shift can carry
+    C_n(R) outside its multiplier orbit.  The tuple is empty when q0 = 1:
+    every circulant shift of m is then a unit multiplier.
+
+    Lemma.  If n | t*m^2, then theta_{m,t}(x) = (1 + t*m)*x (mod n) for
+    every x, and 1 + t*m is a unit.  Proof: write x = m*floor(x/m) +
+    (x mod m).  Then (1 + t*m)*x - theta(x) = floor(x/m)*t*m^2, which n
+    divides.  theta is a bijection of Z_n, so multiplication by 1 + t*m
+    is one too, and 1 + t*m is a unit.  The image of C_n(R) is therefore
+    C_n((1 + t*m)R), which lies in the multiplier orbit of R.  Conversely,
+    if theta is multiplication by some u, then u = theta(1) = 1 + t*m and
+    m = theta(m) = u*m, so n | t*m^2: the unit multipliers among the
+    shifts are exactly the t with n | t*m^2.
+
+    The predicate.  Let d be the least period of A, g = gcd(n, m^2) and
+    q0 = n/g.  The circulant t are the multiples of q = d / gcd(d, m^2)
+    (proof in `_least_period`).  As d | n, gcd(d, m^2) = gcd(d, g), so
+    q = lcm(d, g)/g, which divides q0.  n | t*m^2 iff q0 | t, and
+    q0 <= n/m because m | g.  If q = q0, every circulant t is a unit
+    multiplier.  If q < q0, then t = q is in range, circulant and not a
+    unit multiplier.  So the predicate is q < q0, that is lcm(d, g) < n.
+    A proper divisor of n divides n/p for a prime p of n; lcm(d, g)
+    divides n/p iff g | n/p, which holds iff p | q0, and d | n/p, which
+    holds iff A is closed under +n/p (the stabiliser of A is dZ_n).
+    """
+    return tuple(n // p for p in prime_divisors(n // gcd(n, m * m)))
 
 
 def _class_parts(m: int, mult: int, moving: int) -> list[tuple[int, int]]:

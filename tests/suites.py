@@ -28,7 +28,9 @@ from circiso.classify import (
 from circiso.graphs import WALK_PREFIX, closed_walk_prefix, is_isomorphism, rooted_refinement_key
 from circiso.theta import (
     _class_parts,
+    _closed_under,
     _least_period,
+    _nonunit_steps,
     _rotate_classes,
     _shift_mask,
     jump_shortcut,
@@ -290,6 +292,66 @@ def least_period_decides_shifts(max_n: int = 20) -> list[str]:
                     if in_orbit[:1] == [True] and not all(in_orbit):
                         bad.append(f"first image in the orbit but a later one not at {where}")
     return bad
+
+
+def unit_shifts_are_unit_multipliers(max_n: int = 64) -> tuple[list[str], int]:
+    """For every n <= max_n, every m | n with 1 < m < n and every t in
+    [1, n/m - 1] with n | t*m^2: x + (x mod m)*t*m = (1 + t*m)*x (mod n)
+    for every x in Z_n, and gcd(1 + t*m, n) = 1.  Package-free: the shift
+    is the formula of the definition.  Returns the violations and the
+    number of (n, m, t) checked."""
+    bad, checked = [], 0
+    for n in range(2, max_n + 1):
+        for m in range(2, n):
+            if n % m:
+                continue
+            for t in range(1, n // m):
+                if t * m * m % n:
+                    continue
+                checked += 1
+                u = 1 + t * m
+                if any((x + (x % m) * t * m - u * x) % n for x in range(n)):
+                    bad.append(f"theta is not multiplication by {u} at n={n}, m={m}, t={t}")
+                if gcd(u, n) != 1:
+                    bad.append(f"{u} is not a unit at n={n}, m={m}, t={t}")
+    return bad, checked
+
+
+def nonunit_steps_match_edges(max_n: int = 20) -> tuple[list[str], int]:
+    """For every n <= max_n, every jump set R and every m | n with
+    1 < m < n, with A = {s in +-R : m does not divide s}: A is closed
+    (`_closed_under`) under one of the steps that `_order_tables(n)` holds
+    for m -- none when the table leaves m out -- iff some t in
+    [1, n/m - 1] with n not dividing t*m^2 has a circulant
+    `edge_level_image`; and every t with n | t*m^2 has a circulant image
+    in the `brute_unit_orbit` of R.  The table's steps are also those of
+    `_nonunit_steps`, with the moduli without steps left out.  Returns the
+    violations and the number of (R, m) for which the test passes."""
+    bad, passing = [], 0
+    for n in range(2, max_n + 1):
+        table = {m: steps for m, _, _, steps in _order_tables(n)[2]}
+        want = {m: _nonunit_steps(n, m) for m in range(2, n) if n % m == 0}
+        if table != {m: steps for m, steps in want.items() if steps}:
+            bad.append(f"table steps differ from _nonunit_steps at n={n}")
+        for size in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                sym = {r % n for r in combo} | {-r % n for r in combo}
+                orbit = brute_unit_orbit(n, combo)
+                for m in want:
+                    moving = bits_mask(s for s in sym if s % m)
+                    passes = any(_closed_under(n, moving, e) for e in table.get(m, ()))
+                    passing += passes
+                    shifts = range(1, n // m)
+                    escapes = any(
+                        edge_level_image(n, m, t, combo) is not None for t in shifts if t * m * m % n
+                    )
+                    where = f"n={n}, R={combo}, m={m}"
+                    if passes != escapes:
+                        bad.append(f"test says {passes}, edge level says {escapes} at {where}")
+                    for t in shifts:
+                        if t * m * m % n == 0 and edge_level_image(n, m, t, combo) not in orbit:
+                            bad.append(f"unit shift t={t} leaves the orbit at {where}")
+    return bad, passing
 
 
 def byte_tables_match_units(max_n: int = 24) -> list[str]:

@@ -17,12 +17,14 @@ from suites import (
     is_isomorphism_matches_edges,
     jump2_triple_necessity,
     least_period_decides_shifts,
+    nonunit_steps_match_edges,
     orbit_symmetry,
     residue_kernel_agrees_with_edges,
     rooted_key_is_invariant,
     rooted_key_separates_walk_ties,
     shortcut_agrees_with_edges,
     theta_group_law,
+    unit_shifts_are_unit_multipliers,
     units_commute_with_theta,
     walk_counts_match_traces,
     walk_key_separates_only_non_isomorphic,
@@ -45,6 +47,19 @@ def test_residue_kernel_agrees_with_edge_level_up_to_20():
 
 def test_least_period_decides_every_shift_up_to_20():
     assert least_period_decides_shifts(20) == []
+
+
+def test_shifts_with_n_dividing_t_m_squared_are_unit_multipliers_up_to_64():
+    # every m | n and t in [1, n/m - 1] with n | t*m^2, at every n <= 64
+    bad, checked = unit_shifts_are_unit_multipliers(64)
+    assert bad == [] and checked == 122
+
+
+def test_census_modulus_skip_matches_edge_level_up_to_20():
+    # every jump set and every m | n at n <= 20: the census probes m exactly
+    # when some shift outside the unit multipliers is circulant
+    bad, passing = nonunit_steps_match_edges(20)
+    assert bad == [] and passing == 469
 
 
 def test_classify_pair_matches_edge_level_reference_up_to_20():
