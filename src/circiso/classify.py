@@ -43,9 +43,11 @@ from .oracle import DEFAULT_CAP, are_isomorphic
 from .theta import (
     ThetaMap,
     _class_parts,
+    _image_set,
     _least_period,
     _mask_jumps,
     _nonunit_steps,
+    _probe_plan,
     _rotate_classes,
 )
 from .theta import theta_image  # noqa: F401  (perfbench's tracer wraps `classify.theta_image`)
@@ -115,60 +117,27 @@ def require_admissible_m(c: ConnectionSet, m: int) -> None:
         raise ValueError(f"m={m} does not divide gcd({c.n}, r) for any jump of {c}")
 
 
-@lru_cache(maxsize=1)
-def _probe_plan(c: ConnectionSet, m: int) -> tuple[int, int, tuple[tuple[int, int], ...], int]:
-    """What every probe (m, t) of c shares: (a, fixed, parts, q).
-
-    a is the symmetric mask of +-R (bit s for each s in +-R), fixed its
-    bits divisible by m, and parts the other residue classes as
-    (i, bits of class i), the class parts of `theta._class_parts` read
-    off the jumps, so building them costs O(|R|) mask operations whatever
-    m is.  q = d / gcd(d, m^2), with d the least period of the moving
-    jumps A = a ^ fixed (`theta._least_period`; d = 1 when A is empty).
-    The probe (m, t) is circulant iff q divides t (proof in
-    `_least_period`), and its image is then
-    `theta._rotate_classes(n, t*m, fixed, parts)` (proof there).
-
-    An m that `require_admissible_m` refuses gets no plan, so a plan in
-    the memo is admissible.  Only the last plan is kept: a scan over the
-    t of one modulus builds it once, and a single probe builds one plan
-    and nothing per t.
-    """
-    require_admissible_m(c, m)
-    n = c.n
-    a = fixed = 0
-    parts: dict[int, int] = {}
-    for r in c.jumps:
-        for s in (r, n - r):
-            bit = 1 << s
-            a |= bit
-            if s % m:
-                parts[s % m] = parts.get(s % m, 0) | bit
-            else:
-                fixed |= bit
-    moving = a ^ fixed
-    d = _least_period(n, prime_divisors(n), moving) if moving else 1
-    return a, fixed, tuple(parts.items()), d // gcd(d, m * m)
-
-
 def classify_pair(c: ConnectionSet, m: int, t: int) -> ClassificationRecord:
     """Classify one probe from R alone through the plan of (c, m)
-    (`_probe_plan`): a t that q does not divide is not circulant and no
-    image is built; otherwise the image mask is compared with +-R for
-    "self" and looked up in the multiplier orbit of c (`adam_orbit`) for
-    a Type-1 unit.  A bad m is refused before a bad t, and a bad t before
-    any plan is built."""
+    (`theta._probe_plan`): a t that q does not divide is not circulant
+    and no image is built; otherwise the image mask is compared with +-R
+    for "self" and looked up in the multiplier orbit of c (`adam_orbit`)
+    for a Type-1 unit.  A bad m is refused before a bad t; for m | n, the
+    plan's fixed bits tell whether m divides a jump."""
     n = c.n
-    if m <= 1 or not 1 <= t <= n // m - 1:
-        require_admissible_m(c, m)
-        raise ValueError(f"shift t={t} out of range [1, {n // m - 1}]")
+    if m <= 1 or n % m:
+        require_admissible_m(c, m)  # refuses
     a, fixed, parts, q = _probe_plan(c, m)
+    if not fixed:
+        require_admissible_m(c, m)  # refuses: m divides no jump
+    if not 1 <= t <= n // m - 1:
+        raise ValueError(f"shift t={t} out of range [1, {n // m - 1}]")
     if t % q:
         return ClassificationRecord(m, t, "not-circulant")
     image = _rotate_classes(n, t * m, fixed, parts)
     if image == a:
         return ClassificationRecord(m, t, "self", image=c)
-    s = ConnectionSet(n, tuple(_mask_jumps(image >> 1 & ((1 << n // 2) - 1))))
+    s = _image_set(n, image)
     unit = adam_orbit(c).witness.get(s)
     if unit is not None:
         return ClassificationRecord(m, t, "type1", image=s, unit=unit)
@@ -185,9 +154,9 @@ def certify_isomorphism(a: ConnectionSet, b: ConnectionSet) -> Optional[tuple[in
         the multiplier orbit of b (`adam_orbit`), and phi(v) = x^-1 * v;
       a residue shift, then a unit: for each admissible m of a and each t
         that the plan of (a, m) leaves circulant (the multiples of its q,
-        `_probe_plan`), the image mask (`theta._rotate_classes`) is looked
-        up among the members of that orbit; if theta_{m,t}(a) = x*b, then
-        phi = x^-1 o theta_{m,t} (`theta.ThetaMap.apply`).  The t with
+        `theta._probe_plan`), the image mask (`theta._rotate_classes`) is
+        looked up among the members of that orbit; if theta_{m,t}(a) = x*b,
+        then phi = x^-1 o theta_{m,t} (`theta.ThetaMap.apply`).  The t with
         n | t*m^2 are skipped, and with them every m whose circulant t
         all have that form (q = n / gcd(n, m^2)): such a shift is the unit
         multiplier 1 + t*m (lemma in `theta._nonunit_steps`), so its image
@@ -306,7 +275,7 @@ def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int
 
     A jump mask has bit r - 1 set for each jump r in [1, n/2]; the integer
     order of masks is the scan order.  A symmetric mask has bit s set for
-    each s in +-R, as `theta._shift_mask` reads it.  Both multiply a jump
+    each s in +-R, as `theta._probe_plan` builds it.  Both multiply a jump
     mask through byte tables (`_byte_table`), one lookup per byte of the
     mask: `products` holds one per unit x <= n/2 (1 first), mapping the
     jump r to the jump-mask bit of x*r, and `symmetric` maps r to the bits
@@ -452,8 +421,8 @@ def enumerate_type2(
     of +-R outside class 0, then xA is that part of +-xR.  A finite set is
     closed under +k iff it is a union of cosets of <gcd(k, n)>, and
     gcd(x^-1*t*m^2, n) = gcd(t*m^2, n), so xA is closed under +t*m^2 iff
-    A is, and the two images are circulant together (criterion of
-    `theta._shift_mask`).  Let A_i be the class-i part of A, closed under
+    A is, and the two images are circulant together (criterion in
+    `theta._least_period`).  Let A_i be the class-i part of A, closed under
     +-t*m^2, so theta(A_i) = A_i + i*t*m is too.  xA_i lies in class j
     with x*i = j + k*m, so x*theta(A_i) = xA_i + j*t*m + k*t*m^2 =
     theta(xA_i) + k*t*m^2 = theta(xA_i), the last step by closure.  Jumps

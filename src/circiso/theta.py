@@ -7,45 +7,24 @@ graph it sometimes lands on another circulant graph; when that image lies
 outside the source's multiplier orbit the two graphs witness a Type-2
 isomorphism.
 
-The mask kernel `_shift_mask` decides a probe from the jump set alone,
-as a bit mask of +-R, by the closed form proved in its docstring: the
-image is circulant iff the jumps A of +-R that m does not divide are
-closed under +t*m^2, one rotation compare (`_closed_under`), and the
-image then rotates each residue class i by i*t*m (`_rotate_classes`, the
-one image builder).  The census in `classify` and the probe classifier
-`classify.classify_pair` both decide every t of a modulus at once: the
-circulant shifts are the multiples of one q derived from the least
-period of A (`_least_period`, proof in its docstring), and only their
-images are built, with the same builder.  The census first drops every
-modulus whose circulant shifts are all unit multipliers: a shift with
-n | t*m^2 is multiplication by the unit 1 + t*m, so its image stays in
-the multiplier orbit, and A closed under one of the few steps of
-`_nonunit_steps` tells whether any other shift is circulant (lemma and
-proof in its docstring); `classify.certify_isomorphism` skips the same
-shifts.  `classify_pair` reads q, the mask of +-R, its fixed bits and
-its class parts from one plan per (set, modulus),
-`classify._probe_plan`; shift tables and the CLI take their verdicts
-from it, so they refuse an m that divides gcd(n, r) for no jump r.
-`theta_image` is a thin adapter over `_shift_mask` (ConnectionSet ->
-mask -> ThetaResult) for the families and the tests.  The closed form is
-tested against the edge-level definition in `tests/suites.py`
-(`edge_level_image`), which shares no code with the package, the
-least-period shifts against `_shift_mask` at every t
-(`least_period_decides_shifts`), the skipped moduli against the
-edge-level images (`nonunit_steps_match_edges`), the lemma on the
-definition (`unit_shifts_are_unit_multipliers`), and `classify_pair`
-against the edge-level image and a brute-force orbit on every admissible
-probe (`classify_pair_matches_reference`).  The edge-level
-`apply_to_edges`, `jump_shortcut` (circulant iff the elementwise image
-of the symmetric jump set is closed under negation; its negatives are
-conclusive, but it is exact only for m = 2) and `shortcut_disagreement`
-have no caller in the package: they survive only because the benchmark
-under `perfbench/` traces them.
+One test decides circulance: the circulant shifts of m are the multiples
+of q = d / gcd(d, m^2), d the least period of the jumps of +-R that m
+does not divide (`_least_period`, criterion and proof in its docstring),
+and `_rotate_classes` builds every image.  The census in `classify`
+computes q inline on masks; `theta_image`, `classify.classify_pair` and
+`classify.certify_isomorphism` read it from one plan per (set, modulus),
+`_probe_plan`.  The census and `certify_isomorphism` skip the shifts that
+are unit multipliers (`_nonunit_steps`).  `tests/suites.py` checks all of
+it against the package-free edge-level definition (`edge_level_image`).
+`apply_to_edges`, `jump_shortcut` (exact only for m = 2) and
+`shortcut_disagreement` have no caller in the package: they survive only
+because the benchmark under `perfbench/` traces them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Optional
 
@@ -105,24 +84,27 @@ def _least_period(n: int, primes, v: int) -> int:
     """The least period d of the subset of Z_n with mask v: the least
     d >= 1 with v closed under +d.  `primes` are the prime divisors of n.
 
-    Used on A = {s in +-R : m does not divide s} it decides every shift of
-    a modulus at once: the probe (m, t) is circulant iff d divides t*m^2,
-    that is iff t is a multiple of q = d / gcd(d, m^2).
+    It is the circulance test.  For m | n, let A = {s in +-R : m does not
+    divide s} and d its least period.  The image of C_n(R) under
+    theta_{m,t} is circulant iff A is closed under +t*m^2 (mod n), iff q =
+    d / gcd(d, m^2) divides t.
 
-    Proof.  The stabiliser H = {k in Z_n : A + k = A} is a subgroup of
-    Z_n: it holds 0, and A + k = A with A + k' = A gives A + (k + k') = A
-    and A - k = A.  Every subgroup of Z_n is dZ_n for one divisor d of n,
-    the least period, so for a divisor e of n, A is closed under +e iff
-    d | e, and for any k, closure under +k is closure under +gcd(k, n).
-    The loop starts from e = n, which d divides, and divides e by a prime
-    p of n while A stays closed under +e/p, that is while d | e/p.  It
-    ends with d | e and d not dividing e/p for any prime p of e, so e/d
-    has no prime factor and e = d.  By the criterion of `_shift_mask` the
-    probe (m, t) is circulant iff A is closed under +t*m^2 (mod n), iff
-    t*m^2 mod n lies in dZ_n, iff d | t*m^2 (as d | n), iff
-    d / gcd(d, m^2) divides t.  The same set of t follows from the group
-    law theta_{m,t} o theta_{m,t'} = theta_{m,t+t'}: the shifts t with
-    t*m^2 in H are the preimage of H under the homomorphism t -> t*m^2.
+    Proof.  theta keeps residues mod m and translates class i by i*t*m, so
+    a vertex y in class i has the neighbour offsets D_i = {theta(s) -
+    t*m^2*[i + (s mod m) >= m] : s in +-R} in the image.  The image is
+    circulant iff D_i = D_0 for every i.  Jumps divisible by m are fixed;
+    splitting the others by residue class k != 0 and taking i = m - k
+    gives exactly the closure of each class of A under -t*m^2, which for
+    a finite set is closure under +t*m^2.  The stabiliser H = {k in Z_n :
+    A + k = A} is a subgroup of Z_n: it holds 0, and A + k = A with
+    A + k' = A gives A + (k + k') = A and A - k = A.  Every subgroup of
+    Z_n is dZ_n for one divisor d of n, the least period, so for a
+    divisor e of n, A is closed under +e iff d | e.  The loop starts from
+    e = n, which d divides, and divides e by a prime p of n while A stays
+    closed under +e/p, that is while d | e/p.  It ends with d | e and d
+    not dividing e/p for any prime p of e, so e/d has no prime factor and
+    e = d.  Finally, A is closed under +t*m^2 iff t*m^2 mod n lies in
+    dZ_n, iff d | t*m^2 (as d | n), iff d / gcd(d, m^2) divides t.
     """
     d = n
     for p in primes:
@@ -177,7 +159,7 @@ def _rotate_classes(n: int, shift: int, image: int, parts) -> int:
     With shift = t*m, `image` the bits of +-R divisible by m and `parts`
     the other residue classes of +-R (`_class_parts`), this is the mask
     of theta(+-R), theta(s) = s + (s mod m)*t*m; when the probe (m, t) is
-    circulant (criterion in `_shift_mask`) the image graph is C_n of it.
+    circulant (criterion in `_least_period`) the image graph is C_n of it.
 
     Proof.  theta keeps s mod m and adds i*t*m to every s of class i, so
     on masks it fixes class 0 and rotates class i by i*t*m, and distinct
@@ -193,45 +175,51 @@ def _rotate_classes(n: int, shift: int, image: int, parts) -> int:
     return image
 
 
-def _shift_mask(n: int, m: int, t: int, a: int) -> Optional[int]:
-    """The residue-shift kernel on a symmetric jump mask: bit s of `a` set
-    for every s in +-R.  Returns the mask of +-S with C_n(S) the image of
-    C_n(R) under theta_{n,m,t}, or None when that image is not circulant.
+@lru_cache(maxsize=1)
+def _probe_plan(c: ConnectionSet, m: int) -> tuple[int, int, tuple[tuple[int, int], ...], int]:
+    """What every probe (m, t) of c shares, for m | n: (a, fixed, parts, q).
 
-    Criterion: the image is circulant iff A = {s in +-R : m does not divide s}
-    is closed under s -> s + t*m^2 (mod n), one rotation compare
-    (`_closed_under`); the image is then C_n(theta(+-R)), built by
-    `_rotate_classes`.
-
-    Proof.  theta keeps residues mod m and translates class i by i*t*m, so
-    a vertex y in class i has the neighbour offsets D_i = {theta(s) -
-    t*m^2*[i + (s mod m) >= m] : s in +-R} in the image.
-    The image is circulant iff D_i = D_0 for every i; splitting by residue
-    class k != 0 and taking i = m - k gives exactly the closure of A_k under
-    -t*m^2, which for a finite set is the same as closure under +t*m^2.
-    Jumps divisible by m are fixed, so they never break circulance.
+    a is the symmetric mask of +-R (bit s for each s in +-R), fixed its
+    bits divisible by m, and parts the other residue classes as
+    (i, bits of class i), the class parts of `_class_parts` read off the
+    jumps, so building them costs O(|R|) mask operations whatever m is.
+    q = d / gcd(d, m^2), with d the least period of the moving jumps
+    A = a ^ fixed (d = 1 when A is empty): the probe (m, t) is circulant
+    iff q divides t (`_least_period`), and its image is then
+    `_rotate_classes(n, t*m, fixed, parts)`.  fixed is empty iff m divides
+    no jump, as m | s iff m | n - s.  Only the last plan is kept: a scan
+    over the t of one modulus builds it once, and a single probe builds
+    one plan and nothing per t.
     """
-    mult = ((1 << n) - 1) // ((1 << m) - 1)  # the bits at multiples of m, as m | n
-    fixed = a & mult
+    n = c.n
+    a = fixed = 0
+    parts: dict[int, int] = {}
+    for r in c.jumps:
+        for s in (r, n - r):
+            bit = 1 << s
+            a |= bit
+            if s % m:
+                parts[s % m] = parts.get(s % m, 0) | bit
+            else:
+                fixed |= bit
     moving = a ^ fixed
-    if not _closed_under(n, moving, t * m * m % n):
-        return None
-    return _rotate_classes(n, t * m, fixed, _class_parts(m, mult, moving))
+    d = _least_period(n, prime_divisors(n), moving) if moving else 1
+    return a, fixed, tuple(parts.items()), d // gcd(d, m * m)
 
 
 def theta_image(c: ConnectionSet, m: int, t: int) -> ThetaResult:
-    """Image of C_n(R) under the residue-shift map, decided from R alone by
-    the mask kernel `_shift_mask` (criterion and proof in its docstring)."""
+    """Image of C_n(R) under the residue-shift map, read off the plan of
+    (c, m) (`_probe_plan`); like `ThetaMap`, it takes m = n and t = 0."""
     ThetaMap(c.n, m, t)  # validates m and t
-    n = c.n
-    a = 0
-    for r in c.jumps:
-        a |= 1 << r | 1 << (n - r)
-    image = _shift_mask(n, m, t, a)
-    if image is None:
+    _, fixed, parts, q = _probe_plan(c, m)
+    if t % q:
         return ThetaResult(image=None)
-    jumps = _mask_jumps(image >> 1 & ((1 << n // 2) - 1))
-    return ThetaResult(image=ConnectionSet(n, tuple(jumps)))
+    return ThetaResult(image=_image_set(c.n, _rotate_classes(c.n, t * m, fixed, parts)))
+
+
+def _image_set(n: int, image: int) -> ConnectionSet:
+    """C_n(S) for the symmetric mask `image` of +-S (bit s for each s)."""
+    return ConnectionSet(n, tuple(_mask_jumps(image >> 1 & ((1 << n // 2) - 1))))
 
 
 def _mask_jumps(v: int) -> list[int]:

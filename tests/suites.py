@@ -20,7 +20,6 @@ from circiso.classify import (
     _byte_keys,
     _order_tables,
     _orbit_minima,
-    _probe_plan,
     _split_buckets,
     certify_isomorphism,
     classify_pair,
@@ -31,8 +30,8 @@ from circiso.theta import (
     _closed_under,
     _least_period,
     _nonunit_steps,
+    _probe_plan,
     _rotate_classes,
-    _shift_mask,
     jump_shortcut,
     theta_image,
 )
@@ -250,12 +249,13 @@ def least_period_decides_shifts(max_n: int = 20) -> list[str]:
     1 < m < n, with A = {s in +-R : m does not divide s}: `_least_period`
     returns the least d >= 1 with A + d = A, found here by trying every d;
     the t in [1, n/m - 1] that are multiples of q = d / gcd(d, m^2) are
-    exactly those with `_shift_mask(n, m, t, a)` not None; and at each of
-    them the census's image (`_rotate_classes` over `_class_parts`) and
-    the kernel's image both equal the mask of the elementwise image
-    {s + (s mod m)*t*m : s in +-R}, computed here.  Also, when the image
-    at t = q lies in the `brute_unit_orbit` of R, the images at every
-    multiple of q do too (the census then stops scanning that m)."""
+    exactly those with a circulant `edge_level_image`; and at each of them
+    the census's image (`_rotate_classes` over `_class_parts`) equals the
+    mask of the elementwise image {s + (s mod m)*t*m : s in +-R},
+    computed here, whose jumps are those of the edge-level image.  Also,
+    when the image at t = q lies in the `brute_unit_orbit` of R, the
+    images at every multiple of q do too (the census then stops scanning
+    that m)."""
     bad = []
     for n in range(2, max_n + 1):
         primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % f for f in range(2, p))]
@@ -276,18 +276,18 @@ def least_period_decides_shifts(max_n: int = 20) -> list[str]:
                     if _least_period(n, primes, moving) != period:
                         bad.append(f"least period differs at {where}")
                     q = period // gcd(period, m * m)
-                    kernel = {t: _shift_mask(n, m, t, a) for t in range(1, n // m)}
-                    circulant = {t for t, image in kernel.items() if image is not None}
-                    if circulant != {t for t in kernel if t % q == 0}:
+                    edges = {t: edge_level_image(n, m, t, combo) for t in range(1, n // m)}
+                    circulant = {t for t, image in edges.items() if image is not None}
+                    if circulant != {t for t in edges if t % q == 0}:
                         bad.append(f"circulant shifts are not the multiples of {q} at {where}")
                     parts = _class_parts(m, bits_mask(range(0, n, m)), moving)
                     in_orbit = []
                     for t in range(q, n // m, q):
                         want = bits_mask((s + (s % m) * t * m) % n for s in sym)
                         census = _rotate_classes(n, t * m, a ^ moving, parts)
-                        if not census == kernel[t] == want:
-                            bad.append(f"images differ at {where}, t={t}")
                         jumps = tuple(s for s in range(1, n // 2 + 1) if want >> s & 1)
+                        if census != want or jumps != edges[t]:
+                            bad.append(f"images differ at {where}, t={t}")
                         in_orbit.append(jumps in brute_unit_orbit(n, combo))
                     if in_orbit[:1] == [True] and not all(in_orbit):
                         bad.append(f"first image in the orbit but a later one not at {where}")

@@ -1,14 +1,18 @@
 """Guards on the public surface: the names `circiso` exports and the
-functions the benchmark under `perfbench/` traces by name.  A traced name
-that goes missing would otherwise show up only in perfbench's own tests."""
+functions the benchmark under `perfbench/` traces by name.  perfbench's own
+tests run here too, so a pin they hold (such as `classify.theta_image`)
+cannot break unseen."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import circiso
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def _load_spans():
@@ -32,3 +36,14 @@ def test_every_benchmark_target_is_a_callable_of_its_layer():
         if not callable(getattr(importlib.import_module(f"circiso.{layer}"), name, None))
     ]
     assert missing == []
+
+
+def test_benchmark_unit_tests_pass():
+    done = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", "perfbench"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr

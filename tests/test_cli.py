@@ -295,6 +295,7 @@ def test_theta_table_refuses_inadmissible_m(capsys, m, jumps):
     "jumps, m, t, message",
     [
         ("1,2,4", "3", "1", "m=3 does not divide gcd(24, r) for any jump of C_24(1,2,4)"),
+        ("1,2,4", "3", "0", "m=3 does not divide gcd(24, r) for any jump of C_24(1,2,4)"),
         ("1,2,3", "2", "0", "shift t=0 out of range [1, 11]"),
         ("1,2,3", "2", "12", "shift t=12 out of range [1, 11]"),
     ],
