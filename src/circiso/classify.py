@@ -99,16 +99,12 @@ class OrbitVerdict:
     anomaly: Optional[str] = None
 
 
-def admissible_m(c: ConnectionSet) -> list[tuple[int, tuple[int, ...]]]:
-    """Moduli m > 1 dividing gcd(n, r) for some jump r, with those jumps.
+def admissible_m(c: ConnectionSet) -> list[int]:
+    """Moduli m > 1 dividing gcd(n, r) for some jump r, ascending.
 
     Empty when every jump is coprime to n, in which case no probe applies.
     """
-    by_m: dict[int, list[int]] = {}
-    for r in c.jumps:
-        for m in divisors_gt1(gcd(c.n, r)):
-            by_m.setdefault(m, []).append(r)
-    return [(m, tuple(by_m[m])) for m in sorted(by_m)]
+    return sorted({m for r in c.jumps for m in divisors_gt1(gcd(c.n, r))})
 
 
 def require_admissible_m(c: ConnectionSet, m: int) -> None:
@@ -152,16 +148,13 @@ def certify_isomorphism(a: ConnectionSet, b: ConnectionSet) -> Optional[tuple[in
 
       a unit multiplier: a = x*b for a unit x, read off the witnesses of
         the multiplier orbit of b (`adam_orbit`), and phi(v) = x^-1 * v;
-      a residue shift, then a unit: for each admissible m of a and each t
-        that the plan of (a, m) leaves circulant (the multiples of its q,
-        `theta._probe_plan`), the image mask (`theta._rotate_classes`) is
-        looked up among the members of that orbit; if theta_{m,t}(a) = x*b,
-        then phi = x^-1 o theta_{m,t} (`theta.ThetaMap.apply`).  The t with
-        n | t*m^2 are skipped, and with them every m whose circulant t
-        all have that form (q = n / gcd(n, m^2)): such a shift is the unit
-        multiplier 1 + t*m (lemma in `theta._nonunit_steps`), so its image
-        (1 + t*m)*a is a member of b's orbit only when a is, and then the
-        unit-multiplier move has already answered.
+      a residue shift, then a unit: for the type2 records of a
+        (`probe_records`, in (m, t) order) whose image is x*b, a member of
+        that orbit, phi = x^-1 o theta_{m,t} (`theta.ThetaMap.apply`).
+        No other record can match once the first move has failed: a self
+        or type1 image, like that of every shift that is a unit multiplier
+        (lemma in `theta._nonunit_steps`), lies in the orbit of a; were it
+        in the orbit of b, a would be, and the first move would have answered.
 
     The theory only proposes a map: multiplying by x^-1 carries C_n(x*b)
     onto C_n(b), and theta_{m,t} carries C_n(a) onto the circulant of its
@@ -184,20 +177,10 @@ def certify_isomorphism(a: ConnectionSet, b: ConnectionSet) -> Optional[tuple[in
         phi = tuple(inverse * v % n for v in range(n))
         if is_isomorphism(a, b, phi):
             return phi
-    units = {sum(1 << r - 1 for r in s.jumps): x for s, x in witness.items()}
-    low_half = (1 << n // 2) - 1
-    for m, _ in admissible_m(a):
-        _, fixed, parts, q = _probe_plan(a, m)
-        q0 = n // gcd(n, m * m)
-        if q == q0:
-            continue  # every circulant shift of m is a unit multiplier
-        for t in range(q, n // m, q):
-            if t % q0 == 0:
-                continue  # a unit multiplier: theta_{m,t}(a) = (1 + t*m)*a
-            x = units.get(_rotate_classes(n, t * m, fixed, parts) >> 1 & low_half)
-            if x is None:
-                continue
-            inverse, theta = pow(x, -1, n), ThetaMap(n, m, t).apply
+    for rec in probe_records(a, allow_small=True):
+        x = witness.get(rec.image) if rec.kind == "type2" else None
+        if x is not None:
+            inverse, theta = pow(x, -1, n), ThetaMap(n, rec.m, rec.t).apply
             phi = tuple(inverse * theta(v) % n for v in range(n))
             if is_isomorphism(a, b, phi):
                 return phi
@@ -211,9 +194,16 @@ def require_three_jumps(c: ConnectionSet, allow_small: bool = False) -> None:
 
 
 def probe_records(c: ConnectionSet, allow_small: bool = False) -> list[ClassificationRecord]:
-    """Records of every admissible probe (m, t) of c, in (m, t) order."""
+    """Records of every circulant probe (m, t) of c, in (m, t) order: for
+    each admissible m, the t that are multiples of the q of its plan
+    (`theta._probe_plan`).  `classify_pair` answers not-circulant exactly
+    when q does not divide t, so only those probes are left out."""
     require_three_jumps(c, allow_small)
-    return [classify_pair(c, m, t) for m, _ in admissible_m(c) for t in range(1, c.n // m)]
+    records = []
+    for m in admissible_m(c):
+        q = _probe_plan(c, m)[3]
+        records += [classify_pair(c, m, t) for t in range(q, c.n // m, q)]
+    return records
 
 
 def type2_partners(

@@ -11,6 +11,7 @@ output ordering is independent of `--jobs`.  Every refusal is a
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -79,8 +80,7 @@ def _classify_one(c: ConnectionSet, args) -> None:
     status = classify_mod.ci_status_of_records(records)
     print(f"{c}: {status.verdict}")
     for rec in records:
-        if rec.kind != "not-circulant":
-            print(f"  {_describe(rec)}")
+        print(f"  {_describe(rec)}")
 
 
 def _cmd_classify(args) -> int:
@@ -153,11 +153,11 @@ def _cmd_verify(args) -> int:
     right = _parse_set(args.n, args.right)
     if args.n > args.oracle_cap:
         raise ValueError(f"order {args.n} exceeds the exact-search cap {args.oracle_cap}")
+    adam = same_adam_orbit(right, left)  # builds the orbit of right, which certify reads
     # "yes" from a map that passed the edge check, else the oracle decides
     iso = classify_mod.certify_isomorphism(left, right) is not None or are_isomorphic(
         build_edges(left), build_edges(right), cap=args.oracle_cap
     )
-    adam = same_adam_orbit(right, left)  # the orbit of right is the one just built
     print(f"isomorphic: {'yes' if iso else 'no'}")
     print(f"same multiplier orbit: {'yes' if adam else 'no'}")
     if iso and not adam:
@@ -267,7 +267,9 @@ def main(argv=None) -> int:
     """Run one command and return its exit status.
 
     Every call parses with one parser per process, built on the first call;
-    the subcommand handlers are bound once, when that parser is built.
+    the subcommand handlers are bound once, when that parser is built.  A
+    stdout closed early (`| head`) gives status 1 and no traceback; stdout
+    then points at the null device, so the final flush cannot fail again.
     """
     args = _parser().parse_args(argv)
     try:
@@ -275,6 +277,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

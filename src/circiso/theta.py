@@ -11,10 +11,11 @@ One test decides circulance: the circulant shifts of m are the multiples
 of q = d / gcd(d, m^2), d the least period of the jumps of +-R that m
 does not divide (`_least_period`, criterion and proof in its docstring),
 and `_rotate_classes` builds every image.  The census in `classify`
-computes q inline on masks; `theta_image`, `classify.classify_pair` and
-`classify.certify_isomorphism` read it from one plan per (set, modulus),
-`_probe_plan`.  The census and `certify_isomorphism` skip the shifts that
-are unit multipliers (`_nonunit_steps`).  `tests/suites.py` checks all of
+computes q inline on masks; `theta_image` and `classify.classify_pair`
+read it from one plan per (set, modulus), `_probe_plan`, and
+`classify.certify_isomorphism` reads the plan through `classify_pair`.
+Only the census skips the shifts that are unit multipliers
+(`_nonunit_steps`).  `tests/suites.py` checks all of
 it against the package-free edge-level definition (`edge_level_image`).
 `apply_to_edges`, `jump_shortcut` (exact only for m = 2) and
 `shortcut_disagreement` have no caller in the package: they survive only

@@ -23,6 +23,7 @@ from circiso.classify import (
     _split_buckets,
     certify_isomorphism,
     classify_pair,
+    probe_records,
 )
 from circiso.graphs import WALK_PREFIX, closed_walk_prefix, is_isomorphism, rooted_refinement_key
 from circiso.theta import (
@@ -606,10 +607,12 @@ def classify_pair_matches_reference(max_n: int = 20) -> list[str]:
     (m > 1 dividing gcd(n, r) for a jump r, 1 <= t <= n/m - 1): the kind,
     image and Type-1 unit of `classify_pair` equal `reference_probe`, and
     the class parts of `_probe_plan` are those of `theta._class_parts`.
-    Then an interleaved sequence (R1, m1) -> (R2, m2) -> (R1, m1), with
-    the same jumps at two orders and one set at two moduli, is checked
-    probe by probe, so a plan or orbit memo keyed on less than (n, R, m)
-    answers for the wrong probe and fails."""
+    `probe_records(R, allow_small=True)` lists, in (m, t) order, exactly
+    the reference outcomes that are not "not-circulant".  Then an
+    interleaved sequence (R1, m1) -> (R2, m2) -> (R1, m1), with the same
+    jumps at two orders and one set at two moduli, is checked probe by
+    probe, so a plan or orbit memo keyed on less than (n, R, m) answers
+    for the wrong probe and fails."""
     bad = []
     for n in range(2, max_n + 1):
         for size in range(1, n // 2 + 1):
@@ -618,15 +621,25 @@ def classify_pair_matches_reference(max_n: int = 20) -> list[str]:
                 moduli = [
                     m for m in range(2, n // 2 + 1) if n % m == 0 and any(r % m == 0 for r in combo)
                 ]
+                circulant = []
                 for m in moduli:
                     where = f"n={n}, R={combo}, m={m}"
                     for t in range(1, n // m):
-                        if _probe_outcome(c, m, t) != reference_probe(n, m, t, combo):
+                        expected = reference_probe(n, m, t, combo)
+                        if _probe_outcome(c, m, t) != expected:
                             bad.append(f"classify_pair differs at {where}, t={t}")
+                        if expected[0] != "not-circulant":
+                            circulant.append((m, t, *expected))
                     a, fixed, parts, _ = _probe_plan(c, m)
                     mult = bits_mask(range(0, n, m))
                     if dict(parts) != dict(_class_parts(m, mult, a ^ fixed)) or fixed != a & mult:
                         bad.append(f"plan class parts differ at {where}")
+                records = [
+                    (rec.m, rec.t, rec.kind, rec.image and rec.image.jumps, rec.unit)
+                    for rec in probe_records(c, allow_small=True)
+                ]
+                if records != circulant:
+                    bad.append(f"probe_records differ at n={n}, R={combo}")
     sequence = [(24, (2, 3, 7), 2), (24, (2, 3, 7), 3), (16, (2, 3, 7), 2), (24, (2, 3, 7), 2),
                 (24, (1, 2, 11), 2), (24, (2, 5, 7), 2), (24, (1, 2, 11), 2), (20, (1, 4, 5), 5),
                 (20, (1, 4, 5), 2), (20, (1, 4, 5), 5)]

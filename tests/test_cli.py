@@ -352,6 +352,19 @@ def test_importing_the_cli_leaves_logging_unimported():
     assert (done.returncode, done.stderr) == (0, b"")
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    # about 0.8 MB of output, far above a pipe buffer, so the write fails
+    # even if the interpreter starts writing before the read end is closed
+    argv = [sys.executable, "-m", "circiso.cli", "enumerate", "--n", "32", "--format", "json",
+            "--canonical"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in stderr, stderr.decode()
+
+
 @pytest.mark.parametrize("argv", list(CLI_STDOUT_SHA256), ids=" ".join)
 def test_per_set_commands_print_pinned_bytes(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
