@@ -8,12 +8,15 @@ and 1 <= t <= n/m - 1.  Its outcome is one of:
   type1          the image is a unit multiple of the source (witness unit);
   type2          the image is circulant but outside the multiplier orbit.
 
-The census collects the unordered Type-2 pairs of an order.  It probes one
-jump set per multiplier orbit, the orbit minimum, and carries every pair
-found to all unit multiples; the lemma in `enumerate_type2` proves this
-gives the pairs of running every probe on every jump set.  Deduplication
-is over pairs of jump sets, not pairs of multiplier orbits: distinct set
-pairs spanning the same two orbits count separately.
+The census collects the unordered Type-2 pairs of an order.  It does not
+scan every jump set: it generates only the sets whose moving jumps are
+closed under a step of some modulus (`_step_candidates`), since no other
+set has a partner, probes one generated set per multiplier orbit, the
+orbit minimum (`_orbit_minima`), and carries every pair found to all unit
+multiples; the lemma in `enumerate_type2` proves this gives the pairs of
+running every probe on every jump set.  Deduplication is over pairs of
+jump sets, not pairs of multiplier orbits: distinct set pairs spanning
+the same two orbits count separately.
 
 `certify_isomorphism` turns the two kinds of move into vertex maps, each
 checked edge by edge before it is returned; the CI census and the
@@ -264,18 +267,20 @@ def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int
     moduli, primes).
 
     A jump mask has bit r - 1 set for each jump r in [1, n/2]; the integer
-    order of masks is the scan order.  A symmetric mask has bit s set for
-    each s in +-R, as `theta._probe_plan` builds it.  Both multiply a jump
-    mask through byte tables (`_byte_table`), one lookup per byte of the
-    mask: `products` holds one per unit x <= n/2 (1 first), mapping the
-    jump r to the jump-mask bit of x*r, and `symmetric` maps r to the bits
-    of r and n - r.  The images of distinct jumps are distinct bits in
-    both (a unit permutes the reflexive jumps), so a sum of lookups is
-    their OR.  `moduli` holds, for each m | n with 1 < m <= n/2 whose
-    steps `theta._nonunit_steps(n, m)` are not empty, the quadruple (m,
-    jump mask of the jumps m divides, n-bit mask of the multiples of m in
-    Z_n, steps); a modulus without steps has only unit multipliers among
-    its shifts, so it never gives a Type-2 partner and is left out.
+    order of masks is the order in which `_orbit_minima` takes them.  A
+    symmetric mask has bit s set for each s in +-R, as `theta._probe_plan`
+    builds it.  Both multiply a jump mask through byte tables
+    (`_byte_table`), one lookup per byte of the mask: `products` holds one
+    per unit x <= n/2 (1 first), mapping the jump r to the jump-mask bit
+    of x*r, and `symmetric` maps r to the bits of r and n - r.  The images
+    of distinct jumps are distinct bits in both (a unit permutes the
+    reflexive jumps), so a sum of lookups is their OR.  `moduli` holds,
+    for each m | n with 1 < m <= n/2 whose steps (`theta._nonunit_steps`)
+    are not empty, the quadruple (m, jump mask of the jumps m divides,
+    n-bit mask of the multiples of m in Z_n, steps); a modulus without
+    steps has only unit multipliers among its shifts, so it never gives a
+    Type-2 partner and is left out.  Both the candidates of
+    `_step_candidates` and the test of `_census_part` read `moduli`.
     `primes` are the prime divisors of n.
     """
     h = n // 2
@@ -294,43 +299,109 @@ def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int
     return products, symmetric, moduli, primes
 
 
-def _orbit_minima(n: int, products, k: int):
-    """Yield (v, images, keys) for every multiplier-orbit minimum among the
-    jump masks of size k, scanned in integer order from (1 << k) - 1.
-
-    v is a minimum when no unit multiple of it is a smaller mask, a test
-    on v alone; `images` lists the unit multiples of v, one per byte table
-    of `products` (see `_order_tables`), so it holds the whole orbit, and
-    `keys` are the byte keys of v (`_byte_keys`) that multiplied it.
-    """
-    h = n // 2
-    others = products[1:]  # units other than 1
-    starts = range(0, h, 8)
+def _masks_of_size(h: int, k: int):
+    """Every jump mask of h bits with k bits set, ascending (Gosper's hack)."""
     v = (1 << k) - 1
     for _ in range(comb(h, k)):
-        keys = [v >> s & 255 | s << 5 for s in starts]  # _byte_keys(v, h), inlined
-        images = [v]
-        for product in others:
-            w = sum(map(product, keys))
-            if w < v:
-                break
-            images.append(w)
-        else:
-            yield v, images, keys
-        low = v & -v  # next mask of the same size (Gosper)
+        yield v
+        low = v & -v
         ripple = v + low
         v = ripple | ((v ^ ripple) >> 2) // low
 
 
-def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
-    """Type-2 pairs of jump masks found from the orbit minima of one jump-set
-    size, with their witnesses (picklable worker entry).
+def _step_candidates(n: int, moduli, k: int) -> list[int]:
+    """The jump masks of size k that pass the test of `_census_part` at some
+    modulus of `moduli` (`_order_tables`), ascending: the only sets of
+    size k that can have a Type-2 partner.
 
-    Each minimum R is first tested at every admissible m for a circulant
-    shift that is not a unit multiplier: A = {s in +-R : m does not divide
-    s} must be closed under one of the steps n/p that `_order_tables`
-    holds for m (`theta._nonunit_steps`, whose docstring proves the
-    lemma and this test).  A modulus that fails is skipped, since a unit
+    For each (m, divisible, mult, steps) and each step e = n/p of steps,
+    the candidates are the masks F | M, with F a nonempty set of jumps that
+    m divides and M a union of classes of e.  The class of a jump r that m
+    does not divide holds the jumps r' with r' = +-r (mod e), the
+    reductions of (r + <e>) u (-r + <e>), as <e> = eZ_n for e | n.  The
+    masks of size k pair the unions of classes with j jumps with the sets
+    F of k - j jumps.
+
+    Proof.  p | q0 = n / gcd(n, m^2), so m | gcd(n, m^2), which divides
+    n/p = e.  A coset of <e> therefore stays in one residue class mod m,
+    and the classes partition the jumps that m does not divide.  The
+    moving jumps A = {s in +-R : m does not divide s} are symmetric, and A
+    is closed under +e iff it is a union of cosets of <e>, iff it is a
+    union of classes.  The test of `_census_part` keeps m iff m divides a
+    jump (F is not empty) and A is closed under a step of m, which is
+    what the candidates of m spell out; a mask that fails it at every
+    modulus has no partner (lemma in `theta._nonunit_steps`).
+
+    The candidates are closed under units, which `_orbit_minima` needs.
+    A unit x is prime to m, so m | x*r iff m | r, and x maps A onto xA,
+    the moving jumps of xR, closed under +x*e.  <x*e> = <e>, so xA is
+    closed under +e too: xR is a candidate of the same (m, e).
+    """
+    h = n // 2
+    found: set[int] = set()
+    for m, _, _, steps in moduli:
+        multiples = [1 << (r - 1) for r in range(m, h + 1, m)]
+        for e in steps:
+            classes: dict[int, int] = {}
+            for r in range(1, h + 1):
+                if r % m:
+                    key = min(r % e, -r % e)
+                    classes[key] = classes.get(key, 0) | 1 << (r - 1)
+            unions = [[0]] + [[] for _ in range(k)]  # unions[j]: the unions of j jumps
+            for c in classes.values():
+                b = c.bit_count()
+                for j in range(k - b, -1, -1):
+                    unions[j + b] += [u | c for u in unions[j]]
+            for j in range(k):
+                if unions[j]:
+                    for f in map(sum, itertools.combinations(multiples, k - j)):
+                        found.update(u | f for u in unions[j])
+    return sorted(found)
+
+
+def _orbit_minima(n: int, products, masks):
+    """Yield (v, images, keys) for every multiplier-orbit minimum of
+    `masks`, an ascending stream of jump masks that holds every unit
+    multiple of each of its masks.
+
+    `images` lists the unit multiples of v, one per byte table of
+    `products` (see `_order_tables`), so it holds the whole orbit, and
+    `keys` are the byte keys of v (`_byte_keys`) that multiplied it.  A
+    mask is skipped when it is an image of an earlier minimum, and every
+    other mask is a minimum.  Proof: the stream holds the whole orbit of
+    each of its masks and is ascending, so the minimum of an orbit comes
+    before every other member; it is no image of an earlier minimum, whose
+    orbit is another.  Every later member is one of its images.  An image
+    is dropped from the pending set when the stream reaches it, so the set
+    holds only images still ahead.
+    """
+    h = n // 2
+    others = products[1:]  # units other than 1
+    starts = range(0, h, 8)
+    pending: set[int] = set()
+    for v in masks:
+        if v in pending:
+            pending.remove(v)
+            continue
+        keys = [v >> s & 255 | s << 5 for s in starts]  # _byte_keys(v, h), inlined
+        images = [v]
+        images += [sum(map(product, keys)) for product in others]
+        pending.update(images)
+        pending.discard(v)
+        yield v, images, keys
+
+
+def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
+    """Type-2 pairs of jump masks found from the orbit minima of the step
+    candidates of one jump-set size (`_step_candidates`), with their
+    witnesses (picklable worker entry).
+
+    Each minimum R is tested at every admissible m for a circulant shift
+    that is not a unit multiplier: A = {s in +-R : m does not divide s}
+    must be closed under one of the steps n/p that `_order_tables` holds
+    for m (`theta._nonunit_steps`, whose docstring proves the lemma and
+    this test).  A candidate passes at one modulus at least, not always
+    at all of them.  A modulus that fails is skipped, since a unit
     multiplier maps R into its own orbit.  A modulus that passes is
     probed only at the t whose image is circulant: the multiples of
     q = d / gcd(d, m^2), d the least period of A (`theta._least_period`,
@@ -356,7 +427,7 @@ def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
     h = n // 2
     low_half, full = (1 << h) - 1, (1 << n) - 1
     found: dict[tuple[int, int], set[Probe]] = {}
-    for v, images, keys in _orbit_minima(n, products, k):
+    for v, images, keys in _orbit_minima(n, products, _step_candidates(n, moduli, k)):
         orbit = set(images)
         a = sum(map(symmetric, keys))
         partners: dict[int, list[Probe]] = {}
@@ -396,11 +467,14 @@ def enumerate_type2(
 ) -> PairCensus:
     """Exhaustive Type-2 census over all jump sets with sizes in range.
 
-    Only one set per multiplier orbit is probed (the orbit minimum of the
-    scan order), and every pair found is carried to all unit multiples
-    with the same witnesses.  Each jump-set size is one task: a pool of
-    min(jobs, number of sizes) worker processes takes the sizes one at a
-    time, and when that is 1 the sizes run in turn in this process.
+    Only the sets that can have a partner are generated, size by size
+    (`_step_candidates`, whose docstring proves that no other set has
+    one), and only one of them per multiplier orbit is probed, its
+    minimum (`_orbit_minima`); every pair found is carried to all unit
+    multiples with the same witnesses.  Each jump-set size is one task: a
+    pool of min(jobs, number of sizes) worker processes takes the sizes
+    one at a time, and when that is 1 the sizes run in turn in this
+    process.
     Deterministic: pairs are sorted lexicographically and witnesses merged
     across both discovery directions, independent of job count.
 
@@ -567,7 +641,7 @@ def ci_full_census(
     # jump tuples sort in C; ConnectionSet order is (n, jumps) order, the same here
     orbit_jumps = sorted(
         sorted(tuple(_mask_jumps(w)) for w in set(images))
-        for _, images, _ in _orbit_minima(n, products, size)
+        for _, images, _ in _orbit_minima(n, products, _masks_of_size(n // 2, size))
     )
     orbits = [tuple(ConnectionSet(n, jumps) for jumps in members) for members in orbit_jumps]
     reps = [members[0] for members in orbits]

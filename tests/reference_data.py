@@ -208,6 +208,23 @@ CENSUS_JSON_SHA256 = {
     40: "3f85e46fe1c7457098b97b867534576448b0dabf4307693120fea5d3a87e937a",
 }
 
+# The order-48 census (sizes 3..24), recorded from the census that scanned
+# every jump mask for orbit minima.  Its canonical JSON digest there was
+# 176909c9b4cb38e414f377b4928f06b152da3f5db57f014db030f82c0d6c862f, but the
+# canonical emit of 105,728 pairs takes about 560 MiB, so the test checks
+# the pair count, the counts by size, and the sha256 of the compact
+# `json.dumps([[left.jumps, right.jumps, witnesses], ...])` of the pairs in
+# census order instead.
+CENSUS_48 = {
+    "pair_count": 105728,
+    "counts_by_size": {
+        3: 18, 4: 142, 5: 578, 6: 1602, 7: 3392, 8: 5888, 9: 8784, 10: 11582,
+        11: 13660, 12: 14436, 13: 13660, 14: 11582, 15: 8784, 16: 5888,
+        17: 3392, 18: 1602, 19: 578, 20: 142, 21: 18,
+    },
+    "compact_sha256": "86713d7e17bf58587dc12af8fb35516b8fa16e3b9235a8ba5cd1be31f93584c7",
+}
+
 # sha256 of the `ci_full_census(n, size)` verdict rows, serialised as the JSON
 # list of [orbit member jump tuples, ci, isomorphic_to jump tuples, anomaly]
 # (the digest perfbench checks), for n = 2..28 at sizes 1..min(4, n/2) and

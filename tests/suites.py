@@ -18,9 +18,11 @@ from circiso import (
 )
 from circiso.classify import (
     _byte_keys,
+    _masks_of_size,
     _order_tables,
     _orbit_minima,
     _split_buckets,
+    _step_candidates,
     certify_isomorphism,
     classify_pair,
     probe_records,
@@ -123,6 +125,16 @@ def brute_orbit_witness(n: int, jumps) -> dict[tuple[int, ...], int]:
         if gcd(x, n) == 1:
             out.setdefault(tuple(sorted({reflexive_jump(n, x * r) for r in jumps})), x)
     return out
+
+
+def every_circulant_is_ci(n: int) -> bool:
+    """Muzychuk's theorem (Discrete Math. 1997): every undirected circulant
+    of order n is a CI-graph iff n is 8, 9 or 18, or n = k, 2k or 4k with
+    k odd and squarefree."""
+    if n in (8, 9, 18):
+        return True
+    k = n // 4 if n % 4 == 0 else n // 2 if n % 2 == 0 else n
+    return k % 2 == 1 and all(k % (p * p) for p in range(2, k + 1))
 
 
 def reference_probe(n: int, m: int, t: int, jumps) -> tuple:
@@ -355,19 +367,37 @@ def nonunit_steps_match_edges(max_n: int = 20) -> tuple[list[str], int]:
     return bad, passing
 
 
+def passes_step_test(n: int, moduli, jumps) -> bool:
+    """Whether some modulus (m, divisible, mult, steps) of `moduli`
+    (`_order_tables(n)`) divides a jump and the moving jumps
+    {s in +-R : m does not divide s} are closed (`_closed_under`) under one
+    of its steps."""
+    v = bits_mask(r - 1 for r in jumps)
+    sym = {r % n for r in jumps} | {-r % n for r in jumps}
+    return any(
+        v & divisible
+        and any(_closed_under(n, bits_mask(s for s in sym if s % m), e) for e in steps)
+        for m, divisible, _, steps in moduli
+    )
+
+
 def byte_tables_match_units(max_n: int = 24) -> list[str]:
     """For every n <= max_n and every nonempty jump mask v (bit r - 1 for
     jump r): the byte tables of `_order_tables` give, for every unit
     x <= n/2 in increasing order, the mask of the multiple x*R taken with
-    `reflexive_jump`, and the symmetric mask of +-R; and `_orbit_minima`,
-    size by size, yields exactly the masks that are the smallest mask in
-    their `brute_unit_orbit`, each with its whole orbit."""
+    `reflexive_jump`, and the symmetric mask of +-R.  Size by size,
+    `_masks_of_size` gives every mask in integer order, and `_orbit_minima`
+    fed with them yields exactly the masks that are the smallest mask in
+    their `brute_unit_orbit`, each with its whole orbit; fed with the
+    `_step_candidates` instead, it yields exactly those minima that pass
+    the step test (`passes_step_test`), each with its whole orbit."""
     bad = []
     for n in range(2, max_n + 1):
         h = n // 2
-        products, symmetric, _, _ = _order_tables(n)
+        products, symmetric, moduli, _ = _order_tables(n)
         units = [x for x in range(1, h + 1) if gcd(x, n) == 1]
-        minima = set()
+        minima: dict[int, set] = {k: set() for k in range(1, h + 1)}
+        passing: dict[int, set] = {k: set() for k in range(1, h + 1)}
         for v in range(1, 1 << h):
             jumps = [r for r in range(1, h + 1) if v >> (r - 1) & 1]
             keys = _byte_keys(v, h)
@@ -380,15 +410,56 @@ def byte_tables_match_units(max_n: int = 24) -> list[str]:
                 bad.append(f"symmetric table differs at n={n}, R={tuple(jumps)}")
             orbit = {bits_mask(r - 1 for r in member) for member in brute_unit_orbit(n, jumps)}
             if v == min(orbit):
-                minima.add((v, frozenset(orbit)))
-        yielded = {
-            (v, frozenset(images))
-            for k in range(1, h + 1)
-            for v, images, _ in _orbit_minima(n, products, k)
-        }
-        if yielded != minima:
-            bad.append(f"orbit minima differ at n={n}")
+                minima[len(jumps)].add((v, frozenset(orbit)))
+                if passes_step_test(n, moduli, jumps):
+                    passing[len(jumps)].add((v, frozenset(orbit)))
+        for k in range(1, h + 1):
+            masks = list(_masks_of_size(h, k))
+            combos = itertools.combinations(range(1, h + 1), k)
+            if masks != sorted(bits_mask(r - 1 for r in combo) for combo in combos):
+                bad.append(f"masks of size {k} differ at n={n}")
+            scan = _orbit_minima(n, products, masks)
+            if {(v, frozenset(images)) for v, images, _ in scan} != minima[k]:
+                bad.append(f"orbit minima of size {k} differ at n={n}")
+            scan = _orbit_minima(n, products, _step_candidates(n, moduli, k))
+            if {(v, frozenset(images)) for v, images, _ in scan} != passing[k]:
+                bad.append(f"orbit minima of the size-{k} candidates differ at n={n}")
     return bad
+
+
+def step_candidates_match_edges(max_n: int = 28, max_edge_n: int = 20) -> tuple[list[str], int]:
+    """For every n <= max_n and every size k, `_step_candidates` gives,
+    ascending, exactly the k-masks whose jump sets pass the step test
+    (`passes_step_test`).  For n <= max_edge_n, a set is generated iff
+    some m > 1 dividing n and a jump has a circulant `edge_level_image` at
+    a t in [1, n/m - 1] with n not dividing t*m^2.  Returns the violations
+    and the number of masks generated."""
+    bad, generated = [], 0
+    for n in range(2, max_n + 1):
+        h = n // 2
+        moduli = _order_tables(n)[2]
+        for k in range(1, h + 1):
+            got = _step_candidates(n, moduli, k)
+            generated += len(got)
+            want = []
+            for combo in itertools.combinations(range(1, h + 1), k):
+                passes = passes_step_test(n, moduli, combo)
+                if passes:
+                    want.append(bits_mask(r - 1 for r in combo))
+                if n <= max_edge_n:
+                    escapes = any(
+                        edge_level_image(n, m, t, combo) is not None
+                        for m in range(2, h + 1)
+                        if n % m == 0 and any(r % m == 0 for r in combo)
+                        for t in range(1, n // m)
+                        if t * m * m % n
+                    )
+                    if escapes != passes:
+                        where = f"n={n}, R={combo}"
+                        bad.append(f"test says {passes}, edge level says {escapes} at {where}")
+            if got != sorted(want):
+                bad.append(f"candidates of size {k} differ at n={n}")
+    return bad, generated
 
 
 def adjacency_power_traces(n: int, jumps) -> list[int]:

@@ -33,6 +33,7 @@ from circiso.report import emit_census
 from circiso.theta import theta_image
 
 from reference_data import (
+    CENSUS_48,
     CENSUS_JSON_SHA256,
     CI_VERDICT_SHA256,
     NON_CI_TRIPLES_24,
@@ -44,6 +45,7 @@ from suites import (
     brute_unit_orbit,
     closed_walk_counts,
     edge_level_image,
+    every_circulant_is_ci,
     type2_pair_violations,
     vertex_map_is_isomorphism,
 )
@@ -240,6 +242,26 @@ def test_census_pool_never_exceeds_sizes(monkeypatch, size_min, size_max, jobs, 
 def test_canonical_census_json_matches_recorded_digest(n):
     text = emit_census(enumerate_type2(n), format="json", canonical=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_JSON_SHA256[n]
+
+
+def test_order_48_census_matches_the_recorded_pairs():
+    census = enumerate_type2(48)
+    witnesses = census.witnesses
+    rows = [[left.jumps, right.jumps, witnesses[(left, right)]] for left, right in census.pairs]
+    assert len(census.pairs) == CENSUS_48["pair_count"]
+    assert census.counts == CENSUS_48["counts_by_size"]
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CENSUS_48["compact_sha256"]
+
+
+def test_type2_census_is_empty_at_every_ci_order():
+    # A Type-2 pair is isomorphic but not Type-1, so it makes both graphs
+    # non-CI; Muzychuk's theorem rules that out at the CI orders.
+    ci_orders = [n for n in range(6, 49) if every_circulant_is_ci(n)]
+    assert [n for n in range(6, 49) if n not in ci_orders] == [16, 24, 25, 27, 32, 36, 40, 45, 48]
+    for n in ci_orders:
+        assert enumerate_type2(n, 1, n // 2, allow_small=True).pairs == (), n
+    for n in (16, 24, 27, 32, 40):
+        assert enumerate_type2(n, 1, n // 2, allow_small=True).pairs, n
 
 
 def test_census_preconditions():

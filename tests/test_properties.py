@@ -23,6 +23,7 @@ from suites import (
     rooted_key_is_invariant,
     rooted_key_separates_walk_ties,
     shortcut_agrees_with_edges,
+    step_candidates_match_edges,
     theta_group_law,
     unit_shifts_are_unit_multipliers,
     units_commute_with_theta,
@@ -60,6 +61,14 @@ def test_census_modulus_skip_matches_edge_level_up_to_20():
     # when some shift outside the unit multipliers is circulant
     bad, passing = nonunit_steps_match_edges(20)
     assert bad == [] and passing == 469
+
+
+def test_census_candidates_match_the_step_test_up_to_28_and_edge_level_up_to_20():
+    # every size at every n <= 28: the generated sets are those that pass
+    # the census's modulus test, and at n <= 20 those with a circulant
+    # shift that is not a unit multiplier
+    bad, generated = step_candidates_match_edges(28, 20)
+    assert bad == [] and generated == 1947
 
 
 def test_classify_pair_matches_edge_level_reference_up_to_20():
