@@ -276,11 +276,10 @@ def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int
     of distinct jumps are distinct bits in both (a unit permutes the
     reflexive jumps), so a sum of lookups is their OR.  `moduli` holds,
     for each m | n with 1 < m <= n/2 whose steps (`theta._nonunit_steps`)
-    are not empty, the quadruple (m, jump mask of the jumps m divides,
-    n-bit mask of the multiples of m in Z_n, steps); a modulus without
-    steps has only unit multipliers among its shifts, so it never gives a
-    Type-2 partner and is left out.  Both the candidates of
-    `_step_candidates` and the test of `_census_part` read `moduli`.
+    are not empty, the triple (m, n-bit mask of the multiples of m in
+    Z_n, steps); a modulus without steps has only unit multipliers among
+    its shifts, so it never gives a Type-2 partner and is left out.  The
+    tags of `_step_candidates` index `moduli`.
     `primes` are the prime divisors of n.
     """
     h = n // 2
@@ -291,7 +290,7 @@ def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int
     )
     symmetric = _byte_table(h, lambda r: 1 << r | 1 << (n - r))
     moduli = tuple(
-        (m, sum(1 << (r - 1) for r in range(m, h + 1, m)), ((1 << n) - 1) // ((1 << m) - 1), steps)
+        (m, ((1 << n) - 1) // ((1 << m) - 1), steps)
         for m in divisors_gt1(n)
         if m <= h and (steps := _nonunit_steps(n, m))
     )
@@ -309,54 +308,75 @@ def _masks_of_size(h: int, k: int):
         v = ripple | ((v ^ ripple) >> 2) // low
 
 
-def _step_candidates(n: int, moduli, k: int) -> list[int]:
-    """The jump masks of size k that pass the test of `_census_part` at some
-    modulus of `moduli` (`_order_tables`), ascending: the only sets of
-    size k that can have a Type-2 partner.
-
-    For each (m, divisible, mult, steps) and each step e = n/p of steps,
-    the candidates are the masks F | M, with F a nonempty set of jumps that
-    m divides and M a union of classes of e.  The class of a jump r that m
-    does not divide holds the jumps r' with r' = +-r (mod e), the
-    reductions of (r + <e>) u (-r + <e>), as <e> = eZ_n for e | n.  The
-    masks of size k pair the unions of classes with j jumps with the sets
-    F of k - j jumps.
-
-    Proof.  p | q0 = n / gcd(n, m^2), so m | gcd(n, m^2), which divides
-    n/p = e.  A coset of <e> therefore stays in one residue class mod m,
-    and the classes partition the jumps that m does not divide.  The
-    moving jumps A = {s in +-R : m does not divide s} are symmetric, and A
-    is closed under +e iff it is a union of cosets of <e>, iff it is a
-    union of classes.  The test of `_census_part` keeps m iff m divides a
-    jump (F is not empty) and A is closed under a step of m, which is
-    what the candidates of m spell out; a mask that fails it at every
-    modulus has no partner (lemma in `theta._nonunit_steps`).
-
-    The candidates are closed under units, which `_orbit_minima` needs.
-    A unit x is prime to m, so m | x*r iff m | r, and x maps A onto xA,
-    the moving jumps of xR, closed under +x*e.  <x*e> = <e>, so xA is
-    closed under +e too: xR is a candidate of the same (m, e).
+def _candidate_tables(n: int, moduli) -> list[tuple[int, list, list]]:
+    """What `_step_candidates` builds every size from: for the i-th
+    modulus (m, mult, steps) of `moduli` (`_order_tables`), (1 << i,
+    fsets, unions).  fsets[j] lists the sets F of j jumps that m divides;
+    unions[x][j] the unions of j jumps of the classes of the x-th step e.
+    The class of a jump r that m does not divide holds the jumps
+    r' = +-r (mod e), the reductions of (r + <e>) u (-r + <e>).
     """
     h = n // 2
-    found: set[int] = set()
-    for m, _, _, steps in moduli:
+    tables = []
+    for i, (m, _, steps) in enumerate(moduli):
         multiples = [1 << (r - 1) for r in range(m, h + 1, m)]
+        fsets = [
+            list(map(sum, itertools.combinations(multiples, j))) for j in range(len(multiples) + 1)
+        ]
+        unions = []
         for e in steps:
             classes: dict[int, int] = {}
             for r in range(1, h + 1):
                 if r % m:
                     key = min(r % e, -r % e)
                     classes[key] = classes.get(key, 0) | 1 << (r - 1)
-            unions = [[0]] + [[] for _ in range(k)]  # unions[j]: the unions of j jumps
+            by_size = [[0]] + [[] for _ in range(h)]  # by_size[j]: the unions of j jumps
             for c in classes.values():
                 b = c.bit_count()
-                for j in range(k - b, -1, -1):
-                    unions[j + b] += [u | c for u in unions[j]]
-            for j in range(k):
-                if unions[j]:
-                    for f in map(sum, itertools.combinations(multiples, k - j)):
-                        found.update(u | f for u in unions[j])
-    return sorted(found)
+                for j in range(h - b, -1, -1):
+                    by_size[j + b] += [u | c for u in by_size[j]]
+            unions.append(by_size)
+        tables.append((1 << i, fsets, unions))
+    return tables
+
+
+def _step_candidates(tables, k: int) -> dict[int, int]:
+    """The jump masks of size k that pass the step test at some modulus m
+    of `_order_tables` (m divides a jump, and the moving jumps are closed
+    under a step e of m), each mapped to its tag, the bits 1 << i of the
+    moduli it passes at: the only sets of size k that can have a Type-2
+    partner.  For each m and e of `tables` (`_candidate_tables`), they are
+    the masks F | M, F a nonempty set of jumps that m divides and M a
+    union of classes of e.
+
+    Proof.  p | q0 = n / gcd(n, m^2), so m | gcd(n, m^2), which divides
+    n/p = e.  A coset of <e> therefore stays in one residue class mod m,
+    and the classes partition the jumps that m does not divide.  The
+    moving jumps A = {s in +-R : m does not divide s} are symmetric, and A
+    is closed under +e iff it is a union of cosets of <e>, iff it is a
+    union of classes.  So a mask is generated under (m, e) iff m divides a
+    jump (F is not empty) and A is a union of classes of e, iff it passes
+    the test at (m, e): its tag is exactly the set of moduli it passes.
+    A mask that passes at no modulus has no partner (lemma in
+    `theta._nonunit_steps`).
+
+    The candidates are closed under units, with their tags, which
+    `_orbit_minima` needs.  A unit x is prime to m, so m | x*r iff m | r,
+    and x maps A onto xA, the moving jumps of xR, closed under +x*e.
+    <x*e> = <e>, so xA is closed under +e too: xR is a candidate of the
+    same (m, e).
+    """
+    tags: dict[int, int] = {}
+    for bit, fsets, unions in tables:
+        masks: set[int] = set()
+        for by_size in unions:
+            for j in range(max(0, k - len(fsets) + 1), k):  # |F| = k - j >= 1
+                low, high = sorted((by_size[j], fsets[k - j]), key=len)
+                for u in low:
+                    masks.update(map(u.__or__, high))
+        for v in masks:
+            tags[v] = tags.get(v, 0) | bit
+    return tags
 
 
 def _orbit_minima(n: int, products, masks):
@@ -392,17 +412,15 @@ def _orbit_minima(n: int, products, masks):
 
 
 def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
-    """Type-2 pairs of jump masks found from the orbit minima of the step
-    candidates of one jump-set size (`_step_candidates`), with their
-    witnesses (picklable worker entry).
+    """Type-2 pairs of jump masks found from the orbit minima of one size's
+    tagged step candidates (`_step_candidates`), with their witnesses
+    (picklable worker entry; args is (n, candidates)).
 
-    Each minimum R is tested at every admissible m for a circulant shift
-    that is not a unit multiplier: A = {s in +-R : m does not divide s}
-    must be closed under one of the steps n/p that `_order_tables` holds
-    for m (`theta._nonunit_steps`, whose docstring proves the lemma and
-    this test).  A candidate passes at one modulus at least, not always
-    at all of them.  A modulus that fails is skipped, since a unit
-    multiplier maps R into its own orbit.  A modulus that passes is
+    Each minimum R is probed at the moduli of its tag: those m that
+    divide a jump and leave A = {s in +-R : m does not divide s} closed
+    under a step n/p of m; no other m has a circulant shift that is not
+    a unit multiplier (`theta._nonunit_steps`), and a unit multiplier
+    maps R into its own orbit.  A tagged modulus is
     probed only at the t whose image is circulant: the multiples of
     q = d / gcd(d, m^2), d the least period of A (`theta._least_period`,
     whose docstring proves it).  Passing means q < q0 = n / gcd(n, m^2)
@@ -422,25 +440,21 @@ def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
     x^j * S_1 = x^(j+1) R, circulant because the probe of R is.  So every
     S_j = x^j R lies in the orbit.
     """
-    n, k = args
+    n, candidates = args
     products, symmetric, moduli, primes = _order_tables(n)
     h = n // 2
-    low_half, full = (1 << h) - 1, (1 << n) - 1
+    low_half = (1 << h) - 1
     found: dict[tuple[int, int], set[Probe]] = {}
-    for v, images, keys in _orbit_minima(n, products, _step_candidates(n, moduli, k)):
+    for v, images, keys in _orbit_minima(n, products, sorted(candidates)):
         orbit = set(images)
         a = sum(map(symmetric, keys))
+        tag = candidates[v]
         partners: dict[int, list[Probe]] = {}
-        for m, divisible, mult, steps in moduli:
-            if not v & divisible:
+        for i, (m, mult, _) in enumerate(moduli):
+            if not tag >> i & 1:
                 continue
             fixed = a & mult
             moving = a ^ fixed
-            for e in steps:  # theta._closed_under(n, moving, e), inlined
-                if (moving << e | moving >> (n - e)) & full == moving:
-                    break
-            else:
-                continue  # every circulant shift of m is a unit multiplier
             d = _least_period(n, primes, moving)
             q = d // gcd(d, m * m)
             parts = _class_parts(m, mult, moving)
@@ -467,14 +481,15 @@ def enumerate_type2(
 ) -> PairCensus:
     """Exhaustive Type-2 census over all jump sets with sizes in range.
 
-    Only the sets that can have a partner are generated, size by size
-    (`_step_candidates`, whose docstring proves that no other set has
-    one), and only one of them per multiplier orbit is probed, its
-    minimum (`_orbit_minima`); every pair found is carried to all unit
-    multiples with the same witnesses.  Each jump-set size is one task: a
-    pool of min(jobs, number of sizes) worker processes takes the sizes
-    one at a time, and when that is 1 the sizes run in turn in this
-    process.
+    Only the sets that can have a partner are generated, size by size in
+    this process from tables built once per call, each tagged with the
+    moduli to probe (`_step_candidates`, whose docstring proves that no
+    other set has a partner), and only one of them per multiplier orbit
+    is probed, its minimum (`_orbit_minima`); every pair found is carried
+    to all unit multiples with the same witnesses.  Each jump-set size is
+    one task: a pool of min(jobs, number of sizes) worker processes takes
+    the sizes one at a time, and when that is 1 the sizes run in turn in
+    this process.
     Deterministic: pairs are sorted lexicographically and witnesses merged
     across both discovery directions, independent of job count.
 
@@ -510,8 +525,9 @@ def enumerate_type2(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
-    tasks = [(n, k) for k in range(size_min, size_max + 1)]
-    workers = min(jobs, len(tasks))
+    tables = _candidate_tables(n, _order_tables(n)[2])
+    tasks = ((n, _step_candidates(tables, k)) for k in range(size_min, size_max + 1))
+    workers = min(jobs, size_max - size_min + 1)
     if workers > 1:
         import multiprocessing
 
@@ -520,24 +536,25 @@ def enumerate_type2(
     else:
         found = map(_census_part, tasks)
 
-    merged: dict[tuple[int, int], set[Probe]] = {}
+    # Both sides of a pair have its part's size, so parts share no pair.
+    # Jump tuples sort in C, in the order of the ConnectionSets they name.
+    rows = []
     for part in found:
-        for key, probes in part.items():
-            merged.setdefault(key, set()).update(probes)
+        for masks, probes in part.items():
+            left, right = sorted(tuple(_mask_jumps(v)) for v in masks)
+            rows.append((left, right, tuple(sorted(probes))))
+    rows.sort()
     witnesses: dict[Pair, tuple[Probe, ...]] = {}
-    for masks, probes in merged.items():
-        left, right = sorted(ConnectionSet(n, tuple(_mask_jumps(v))) for v in masks)
-        witnesses[(left, right)] = tuple(sorted(probes))
-    pairs = tuple(sorted(witnesses, key=lambda p: (p[0].jumps, p[1].jumps)))
     counts: dict[int, int] = {}
-    for left, _ in pairs:
-        counts[len(left.jumps)] = counts.get(len(left.jumps), 0) + 1
+    for left, right, probes in rows:
+        witnesses[(ConnectionSet(n, left), ConnectionSet(n, right))] = probes
+        counts[len(left)] = counts.get(len(left), 0) + 1
     return PairCensus(
         n=n,
         size_min=size_min,
         size_max=size_max,
-        pairs=pairs,
-        witnesses={p: witnesses[p] for p in pairs},
+        pairs=tuple(witnesses),
+        witnesses=witnesses,
         counts=counts,
     )
 

@@ -56,10 +56,52 @@ def census_document(census: PairCensus, canonical: bool = False) -> dict:
     return doc
 
 
+def _json_list(items, indent: str) -> str:
+    """The indent=2 layout of a list whose items render as the nonempty
+    strings `items`, its opening bracket at the nesting `indent`."""
+    inner = indent + "  "
+    text = f",\n{inner}".join(items)
+    return f"[\n{inner}{text}\n{indent}]" if text else "[]"
+
+
+def _pair_json(pair: dict) -> str:
+    """One item of the "pairs" list, laid out as `write_census_json` lays it out."""
+    flag = pair["oracle_confirmed"]
+    witnesses = (f"[\n          {m},\n          {t}\n        ]" for m, t in pair["witnesses"])
+    return (
+        f'    {{\n      "left": {_json_list(map(str, pair["left"]), "      ")},'
+        f'\n      "oracle_confirmed": {"null" if flag is None else json.dumps(flag)},'
+        f'\n      "right": {_json_list(map(str, pair["right"]), "      ")},'
+        f'\n      "witnesses": {_json_list(witnesses, "      ")}\n    }}'
+    )
+
+
+def write_census_json(doc: dict, out) -> None:
+    """Write a `census_document` to the text stream `out` one pair at a
+    time, byte for byte as json.dumps(doc, sort_keys=True, indent=2).
+    Keys and all values but the pairs go through json.dumps, which
+    escapes their strings."""
+    sep = "{\n  "
+    for key in sorted(doc):
+        out.write(f"{sep}{json.dumps(key)}: ")
+        sep = ",\n  "
+        if key == "pairs" and doc[key]:
+            item_sep = "[\n"
+            for pair in doc[key]:
+                out.write(item_sep + _pair_json(pair))
+                item_sep = ",\n"
+            out.write("\n  ]")
+        else:
+            out.write(json.dumps(doc[key], sort_keys=True, indent=2).replace("\n", "\n  "))
+    out.write("\n}" if doc else "{}")
+
+
 def emit_census(census: PairCensus, format: str = "json", canonical: bool = False) -> str:
     """Render a census as json, csv, or text."""
     if format == "json":
-        return json.dumps(census_document(census, canonical=canonical), sort_keys=True, indent=2)
+        buf = io.StringIO()
+        write_census_json(census_document(census, canonical=canonical), buf)
+        return buf.getvalue()
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

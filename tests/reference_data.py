@@ -210,8 +210,8 @@ CENSUS_JSON_SHA256 = {
 
 # The order-48 census (sizes 3..24), recorded from the census that scanned
 # every jump mask for orbit minima.  Its canonical JSON digest there was
-# 176909c9b4cb38e414f377b4928f06b152da3f5db57f014db030f82c0d6c862f, but the
-# canonical emit of 105,728 pairs takes about 560 MiB, so the test checks
+# 176909c9b4cb38e414f377b4928f06b152da3f5db57f014db030f82c0d6c862f, but
+# `emit_census` holds all 54 MB of that text (a 280 MiB peak), so the test checks
 # the pair count, the counts by size, and the sha256 of the compact
 # `json.dumps([[left.jumps, right.jumps, witnesses], ...])` of the pairs in
 # census order instead.

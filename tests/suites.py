@@ -18,6 +18,7 @@ from circiso import (
 )
 from circiso.classify import (
     _byte_keys,
+    _candidate_tables,
     _masks_of_size,
     _order_tables,
     _orbit_minima,
@@ -342,7 +343,7 @@ def nonunit_steps_match_edges(max_n: int = 20) -> tuple[list[str], int]:
     violations and the number of (R, m) for which the test passes."""
     bad, passing = [], 0
     for n in range(2, max_n + 1):
-        table = {m: steps for m, _, _, steps in _order_tables(n)[2]}
+        table = {m: steps for m, _, steps in _order_tables(n)[2]}
         want = {m: _nonunit_steps(n, m) for m in range(2, n) if n % m == 0}
         if table != {m: steps for m, steps in want.items() if steps}:
             bad.append(f"table steps differ from _nonunit_steps at n={n}")
@@ -367,18 +368,19 @@ def nonunit_steps_match_edges(max_n: int = 20) -> tuple[list[str], int]:
     return bad, passing
 
 
-def passes_step_test(n: int, moduli, jumps) -> bool:
-    """Whether some modulus (m, divisible, mult, steps) of `moduli`
-    (`_order_tables(n)`) divides a jump and the moving jumps
-    {s in +-R : m does not divide s} are closed (`_closed_under`) under one
-    of its steps."""
-    v = bits_mask(r - 1 for r in jumps)
-    sym = {r % n for r in jumps} | {-r % n for r in jumps}
-    return any(
-        v & divisible
-        and any(_closed_under(n, bits_mask(s for s in sym if s % m), e) for e in steps)
-        for m, divisible, _, steps in moduli
-    )
+def passes_step_test(n: int, modulus, jumps) -> bool:
+    """Whether the modulus (m, mult, steps) of `_order_tables(n)` divides a
+    jump and the moving jumps {s in +-R : m does not divide s} are closed
+    (`_closed_under`) under one of its steps."""
+    m, _, steps = modulus
+    moving = bits_mask({s for r in jumps for s in (r % n, -r % n) if s % m})
+    return any(r % m == 0 for r in jumps) and any(_closed_under(n, moving, e) for e in steps)
+
+
+def step_tag(n: int, moduli, jumps) -> int:
+    """The bits 1 << i of the moduli of `moduli` (`_order_tables(n)`) at
+    which `passes_step_test` holds."""
+    return sum(1 << i for i, modulus in enumerate(moduli) if passes_step_test(n, modulus, jumps))
 
 
 def byte_tables_match_units(max_n: int = 24) -> list[str]:
@@ -390,11 +392,13 @@ def byte_tables_match_units(max_n: int = 24) -> list[str]:
     fed with them yields exactly the masks that are the smallest mask in
     their `brute_unit_orbit`, each with its whole orbit; fed with the
     `_step_candidates` instead, it yields exactly those minima that pass
-    the step test (`passes_step_test`), each with its whole orbit."""
+    the step test at some modulus (`step_tag`), each with its whole
+    orbit."""
     bad = []
     for n in range(2, max_n + 1):
         h = n // 2
         products, symmetric, moduli, _ = _order_tables(n)
+        tables = _candidate_tables(n, moduli)
         units = [x for x in range(1, h + 1) if gcd(x, n) == 1]
         minima: dict[int, set] = {k: set() for k in range(1, h + 1)}
         passing: dict[int, set] = {k: set() for k in range(1, h + 1)}
@@ -411,7 +415,7 @@ def byte_tables_match_units(max_n: int = 24) -> list[str]:
             orbit = {bits_mask(r - 1 for r in member) for member in brute_unit_orbit(n, jumps)}
             if v == min(orbit):
                 minima[len(jumps)].add((v, frozenset(orbit)))
-                if passes_step_test(n, moduli, jumps):
+                if step_tag(n, moduli, jumps):
                     passing[len(jumps)].add((v, frozenset(orbit)))
         for k in range(1, h + 1):
             masks = list(_masks_of_size(h, k))
@@ -421,16 +425,18 @@ def byte_tables_match_units(max_n: int = 24) -> list[str]:
             scan = _orbit_minima(n, products, masks)
             if {(v, frozenset(images)) for v, images, _ in scan} != minima[k]:
                 bad.append(f"orbit minima of size {k} differ at n={n}")
-            scan = _orbit_minima(n, products, _step_candidates(n, moduli, k))
+            scan = _orbit_minima(n, products, sorted(_step_candidates(tables, k)))
             if {(v, frozenset(images)) for v, images, _ in scan} != passing[k]:
                 bad.append(f"orbit minima of the size-{k} candidates differ at n={n}")
     return bad
 
 
 def step_candidates_match_edges(max_n: int = 28, max_edge_n: int = 20) -> tuple[list[str], int]:
-    """For every n <= max_n and every size k, `_step_candidates` gives,
-    ascending, exactly the k-masks whose jump sets pass the step test
-    (`passes_step_test`).  For n <= max_edge_n, a set is generated iff
+    """For every n <= max_n and every size k, `_step_candidates` gives
+    exactly the k-masks whose jump sets pass the step test at some
+    modulus, each tagged with exactly the moduli at which it passes
+    (`step_tag`, which runs `passes_step_test` one modulus at a time).
+    For n <= max_edge_n, a set is generated iff
     some m > 1 dividing n and a jump has a circulant `edge_level_image` at
     a t in [1, n/m - 1] with n not dividing t*m^2.  Returns the violations
     and the number of masks generated."""
@@ -438,14 +444,16 @@ def step_candidates_match_edges(max_n: int = 28, max_edge_n: int = 20) -> tuple[
     for n in range(2, max_n + 1):
         h = n // 2
         moduli = _order_tables(n)[2]
+        tables = _candidate_tables(n, moduli)
         for k in range(1, h + 1):
-            got = _step_candidates(n, moduli, k)
+            got = _step_candidates(tables, k)
             generated += len(got)
-            want = []
+            want = {}
             for combo in itertools.combinations(range(1, h + 1), k):
-                passes = passes_step_test(n, moduli, combo)
+                tag = step_tag(n, moduli, combo)
+                passes = tag != 0
                 if passes:
-                    want.append(bits_mask(r - 1 for r in combo))
+                    want[bits_mask(r - 1 for r in combo)] = tag
                 if n <= max_edge_n:
                     escapes = any(
                         edge_level_image(n, m, t, combo) is not None
@@ -457,8 +465,10 @@ def step_candidates_match_edges(max_n: int = 28, max_edge_n: int = 20) -> tuple[
                     if escapes != passes:
                         where = f"n={n}, R={combo}"
                         bad.append(f"test says {passes}, edge level says {escapes} at {where}")
-            if got != sorted(want):
+            if got.keys() != want.keys():
                 bad.append(f"candidates of size {k} differ at n={n}")
+            elif got != want:
+                bad.append(f"candidate tags of size {k} differ at n={n}")
     return bad, generated
 
 

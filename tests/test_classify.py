@@ -191,12 +191,15 @@ def test_census_parallel_matches_serial():
     # Each jump-set size is one task, and the pairs of all sizes are merged
     # after the scan, so the job count must not change them.  n = 24 (64
     # pairs) and n = 27 (72, all m = 3) have pairs at several sizes; at
-    # n = 32 three workers each build their own byte tables.  (24, 5, 5)
-    # has a single size, so the census runs serially whatever `jobs` is,
-    # and (16, 3, 4) asks for more jobs than it has sizes.
+    # n = 32 two or three workers take the tagged candidates of 14 sizes
+    # and each build their own byte tables.  (24, 5, 5) has a single size,
+    # so the census runs serially whatever `jobs` is, and (16, 3, 4) asks
+    # for more jobs than it has sizes.  A census of every size from 3 also
+    # gives the recorded canonical bytes.
     for n, size_min, size_max, jobs in (
         (24, 3, 12, 2),
         (27, 3, 13, 2),
+        (32, 3, 16, 2),
         (32, 3, 16, 3),
         (24, 5, 5, 2),
         (16, 3, 4, 4),
@@ -205,6 +208,9 @@ def test_census_parallel_matches_serial():
         parallel = enumerate_type2(n, size_min, size_max, jobs=jobs)
         assert parallel.pairs == serial.pairs
         assert parallel.witnesses == serial.witnesses
+        if (size_min, size_max) == (3, n // 2):
+            text = emit_census(parallel, format="json", canonical=True)
+            assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_JSON_SHA256[n]
 
 
 @pytest.mark.parametrize(

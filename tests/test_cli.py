@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from circiso import cli
+from circiso import cli, emit_census, enumerate_type2
 from circiso.cli import main
 from circiso.oracle import are_isomorphic
 from reference_data import CLI_STDOUT_SHA256
@@ -110,6 +110,8 @@ def test_enumerate_json_canonical(capsys):
     doc = json.loads(out)
     assert doc["pair_count"] == 8
     assert "generated_at" not in doc
+    # the CLI streams the document; the bytes are those of emit_census
+    assert out == emit_census(enumerate_type2(16), format="json", canonical=True)
 
 
 def test_enumerate_csv_with_confirm(capsys):

@@ -65,8 +65,9 @@ def test_census_modulus_skip_matches_edge_level_up_to_20():
 
 def test_census_candidates_match_the_step_test_up_to_28_and_edge_level_up_to_20():
     # every size at every n <= 28: the generated sets are those that pass
-    # the census's modulus test, and at n <= 20 those with a circulant
-    # shift that is not a unit multiplier
+    # the census's modulus test, each tagged with exactly the moduli it
+    # passes at, and at n <= 20 those with a circulant shift that is not
+    # a unit multiplier
     bad, generated = step_candidates_match_edges(28, 20)
     assert bad == [] and generated == 1947
 

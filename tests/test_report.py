@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 
@@ -8,10 +9,12 @@ from circiso.classify import confirm_with_oracle, enumerate_type2
 from circiso.graphs import ConnectionSet
 from circiso.report import (
     CSV_HEADER,
+    census_document,
     emit_census,
     parse_census_json,
     render_theta_table,
     theta_table_rows,
+    write_census_json,
 )
 
 from reference_data import THETA_TABLES_24
@@ -88,6 +91,35 @@ def test_empty_census_documents():
     assert len(emit_census(census, format="csv").splitlines()) == 1
     back = parse_census_json(emit_census(census, format="json"))
     assert back.pairs == ()
+
+
+def _written(doc) -> str:
+    out = io.StringIO()
+    write_census_json(doc, out)
+    return out.getvalue()
+
+
+def test_direct_writer_matches_json_dumps_at_every_order_up_to_40():
+    # every size 1..n/2, so the empty censuses and the n = 40 census of
+    # 9,216 pairs are both written
+    for n in range(4, 41):
+        doc = census_document(enumerate_type2(n, 1, n // 2, allow_small=True), canonical=True)
+        assert _written(doc) == json.dumps(doc, sort_keys=True, indent=2), n
+
+
+def test_direct_writer_matches_json_dumps_on_flags_timestamps_and_diagnostics():
+    confirmed = confirm_with_oracle(enumerate_type2(16, 3, 3))
+    confirmed.oracle_confirmed[confirmed.pairs[0]] = False  # both flags appear
+    diagnostics = ('quote " and backslash \\ in a note', "non-ASCII: é, ≅, 🙂", "")
+    docs = [
+        census_document(confirmed, canonical=True),
+        census_document(enumerate_type2(24)),  # generated_at: one dict on both sides
+        census_document(enumerate_type2(9, 3, 4), canonical=True),
+        census_document(dataclasses.replace(confirmed, diagnostics=diagnostics)),
+    ]
+    for doc in docs:
+        assert _written(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    assert "generated_at" in docs[1] and docs[2]["pairs"] == []
 
 
 def test_unknown_format_rejected(census16):
