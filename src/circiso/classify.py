@@ -308,20 +308,22 @@ def _masks_of_size(h: int, k: int):
         v = ripple | ((v ^ ripple) >> 2) // low
 
 
-def _candidate_tables(n: int, moduli) -> list[tuple[int, list, list]]:
-    """What `_step_candidates` builds every size from: for the i-th
-    modulus (m, mult, steps) of `moduli` (`_order_tables`), (1 << i,
-    fsets, unions).  fsets[j] lists the sets F of j jumps that m divides;
-    unions[x][j] the unions of j jumps of the classes of the x-th step e.
-    The class of a jump r that m does not divide holds the jumps
-    r' = +-r (mod e), the reductions of (r + <e>) u (-r + <e>).
+def _candidate_tables(n: int, moduli, size_max: int) -> list[tuple[int, list, list]]:
+    """What `_step_candidates` builds every size up to size_max from: for
+    the i-th modulus (m, mult, steps) of `moduli` (`_order_tables`),
+    (1 << i, fsets, unions).  fsets[j] lists the sets F of j jumps that m
+    divides; unions[x][j] the unions of j jumps of the classes of the x-th
+    step e, for j <= size_max only.  The class of a jump r that m does not
+    divide holds the jumps r' = +-r (mod e), the reductions of
+    (r + <e>) u (-r + <e>).
     """
     h = n // 2
     tables = []
     for i, (m, _, steps) in enumerate(moduli):
         multiples = [1 << (r - 1) for r in range(m, h + 1, m)]
         fsets = [
-            list(map(sum, itertools.combinations(multiples, j))) for j in range(len(multiples) + 1)
+            list(map(sum, itertools.combinations(multiples, j)))
+            for j in range(min(len(multiples), size_max) + 1)
         ]
         unions = []
         for e in steps:
@@ -330,10 +332,10 @@ def _candidate_tables(n: int, moduli) -> list[tuple[int, list, list]]:
                 if r % m:
                     key = min(r % e, -r % e)
                     classes[key] = classes.get(key, 0) | 1 << (r - 1)
-            by_size = [[0]] + [[] for _ in range(h)]  # by_size[j]: the unions of j jumps
+            by_size = [[0]] + [[] for _ in range(size_max)]  # by_size[j]: the unions of j jumps
             for c in classes.values():
                 b = c.bit_count()
-                for j in range(h - b, -1, -1):
+                for j in range(size_max - b, -1, -1):
                     by_size[j + b] += [u | c for u in by_size[j]]
             unions.append(by_size)
         tables.append((1 << i, fsets, unions))
@@ -345,9 +347,9 @@ def _step_candidates(tables, k: int) -> dict[int, int]:
     of `_order_tables` (m divides a jump, and the moving jumps are closed
     under a step e of m), each mapped to its tag, the bits 1 << i of the
     moduli it passes at: the only sets of size k that can have a Type-2
-    partner.  For each m and e of `tables` (`_candidate_tables`), they are
-    the masks F | M, F a nonempty set of jumps that m divides and M a
-    union of classes of e.
+    partner.  For each m and e of `tables` (`_candidate_tables`, built up
+    to a size of k at least), they are the masks F | M, F a nonempty set
+    of jumps that m divides and M a union of classes of e.
 
     Proof.  p | q0 = n / gcd(n, m^2), so m | gcd(n, m^2), which divides
     n/p = e.  A coset of <e> therefore stays in one residue class mod m,
@@ -487,9 +489,9 @@ def enumerate_type2(
     other set has a partner), and only one of them per multiplier orbit
     is probed, its minimum (`_orbit_minima`); every pair found is carried
     to all unit multiples with the same witnesses.  Each jump-set size is
-    one task: a pool of min(jobs, number of sizes) worker processes takes
-    the sizes one at a time, and when that is 1 the sizes run in turn in
-    this process.
+    one task: a pool of min(jobs, number of sizes) worker processes probes
+    the sizes one at a time while this process generates the next ones,
+    and when that is 1 the sizes run in turn in this process.
     Deterministic: pairs are sorted lexicographically and witnesses merged
     across both discovery directions, independent of job count.
 
@@ -525,14 +527,14 @@ def enumerate_type2(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
-    tables = _candidate_tables(n, _order_tables(n)[2])
+    tables = _candidate_tables(n, _order_tables(n)[2], size_max)
     tasks = ((n, _step_candidates(tables, k)) for k in range(size_min, size_max + 1))
     workers = min(jobs, size_max - size_min + 1)
     if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:
-            found = pool.map(_census_part, tasks, chunksize=1)
+            found = list(pool.imap(_census_part, tasks))
     else:
         found = map(_census_part, tasks)
 

@@ -113,8 +113,7 @@ def _cmd_enumerate(args) -> int:
     if args.confirm:
         classify_mod.confirm_with_oracle(census, cap=args.oracle_cap)
     if args.format == "json":  # streamed, never held whole
-        doc = report.census_document(census, canonical=args.canonical)
-        report.write_census_json(doc, sys.stdout)
+        report.write_census_json(report.census_document(census, args.canonical), sys.stdout)
     else:
         print(report.emit_census(census, format=args.format, canonical=args.canonical), end="")
     return 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii as _string
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
@@ -56,43 +57,40 @@ def census_document(census: PairCensus, canonical: bool = False) -> dict:
     return doc
 
 
-def _json_list(items, indent: str) -> str:
-    """The indent=2 layout of a list whose items render as the nonempty
-    strings `items`, its opening bracket at the nesting `indent`."""
+def _indented(value, indent: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for a value whose first
+    line sits at `indent` (a newline and two spaces per level).  Nonempty
+    lists and dicts with string keys are laid out here, without json's
+    pure-Python indenting encoder; strings are escaped by json's own
+    encoder."""
     inner = indent + "  "
-    text = f",\n{inner}".join(items)
-    return f"[\n{inner}{text}\n{indent}]" if text else "[]"
-
-
-def _pair_json(pair: dict) -> str:
-    """One item of the "pairs" list, laid out as `write_census_json` lays it out."""
-    flag = pair["oracle_confirmed"]
-    witnesses = (f"[\n          {m},\n          {t}\n        ]" for m, t in pair["witnesses"])
-    return (
-        f'    {{\n      "left": {_json_list(map(str, pair["left"]), "      ")},'
-        f'\n      "oracle_confirmed": {"null" if flag is None else json.dumps(flag)},'
-        f'\n      "right": {_json_list(map(str, pair["right"]), "      ")},'
-        f'\n      "witnesses": {_json_list(witnesses, "      ")}\n    }}'
-    )
+    if type(value) is dict and value:
+        items = [f"{_string(key)}: {_indented(value[key], inner)}" for key in sorted(value)]
+        return f"{{{inner}{(',' + inner).join(items)}{indent}}}"
+    if type(value) is list and value:
+        items = [str(x) if type(x) is int else _indented(x, inner) for x in value]
+        return f"[{inner}{(',' + inner).join(items)}{indent}]"
+    if type(value) is str:
+        return _string(value)
+    if value is None:  # the oracle flag of every pair of an unconfirmed census
+        return "null"
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", indent)
 
 
 def write_census_json(doc: dict, out) -> None:
-    """Write a `census_document` to the text stream `out` one pair at a
-    time, byte for byte as json.dumps(doc, sort_keys=True, indent=2).
-    Keys and all values but the pairs go through json.dumps, which
-    escapes their strings."""
-    sep = "{\n  "
-    for key in sorted(doc):
-        out.write(f"{sep}{json.dumps(key)}: ")
-        sep = ",\n  "
-        if key == "pairs" and doc[key]:
-            item_sep = "[\n"
-            for pair in doc[key]:
-                out.write(item_sep + _pair_json(pair))
-                item_sep = ",\n"
+    """Write a `census_document` to the text stream `out`, byte for byte
+    as json.dumps(doc, sort_keys=True, indent=2), one item of each list
+    (one pair of "pairs") at a time."""
+    for i, key in enumerate(sorted(doc)):
+        out.write(f"{',' if i else '{'}\n  {_string(key)}: ")
+        value = doc[key]
+        if type(value) is list and value:
+            for j, item in enumerate(value):
+                out.write(",\n    " if j else "[\n    ")
+                out.write(_indented(item, "\n    "))
             out.write("\n  ]")
         else:
-            out.write(json.dumps(doc[key], sort_keys=True, indent=2).replace("\n", "\n  "))
+            out.write(_indented(value, "\n  "))
     out.write("\n}" if doc else "{}")
 
 

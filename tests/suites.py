@@ -398,7 +398,7 @@ def byte_tables_match_units(max_n: int = 24) -> list[str]:
     for n in range(2, max_n + 1):
         h = n // 2
         products, symmetric, moduli, _ = _order_tables(n)
-        tables = _candidate_tables(n, moduli)
+        tables = _candidate_tables(n, moduli, h)
         units = [x for x in range(1, h + 1) if gcd(x, n) == 1]
         minima: dict[int, set] = {k: set() for k in range(1, h + 1)}
         passing: dict[int, set] = {k: set() for k in range(1, h + 1)}
@@ -435,7 +435,8 @@ def step_candidates_match_edges(max_n: int = 28, max_edge_n: int = 20) -> tuple[
     """For every n <= max_n and every size k, `_step_candidates` gives
     exactly the k-masks whose jump sets pass the step test at some
     modulus, each tagged with exactly the moduli at which it passes
-    (`step_tag`, which runs `passes_step_test` one modulus at a time).
+    (`step_tag`, which runs `passes_step_test` one modulus at a time),
+    whether its tables are built up to size n/2 or only up to k.
     For n <= max_edge_n, a set is generated iff
     some m > 1 dividing n and a jump has a circulant `edge_level_image` at
     a t in [1, n/m - 1] with n not dividing t*m^2.  Returns the violations
@@ -444,10 +445,12 @@ def step_candidates_match_edges(max_n: int = 28, max_edge_n: int = 20) -> tuple[
     for n in range(2, max_n + 1):
         h = n // 2
         moduli = _order_tables(n)[2]
-        tables = _candidate_tables(n, moduli)
+        tables = _candidate_tables(n, moduli, h)
         for k in range(1, h + 1):
             got = _step_candidates(tables, k)
             generated += len(got)
+            if _step_candidates(_candidate_tables(n, moduli, k), k) != got:
+                bad.append(f"tables capped at size {k} give other candidates at n={n}")
             want = {}
             for combo in itertools.combinations(range(1, h + 1), k):
                 tag = step_tag(n, moduli, combo)

@@ -235,8 +235,8 @@ def test_census_pool_never_exceeds_sizes(monkeypatch, size_min, size_max, jobs, 
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=None):
-            return list(map(fn, tasks))
+        def imap(self, fn, tasks):
+            return map(fn, tasks)
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     census = enumerate_type2(16, size_min, size_max, jobs=jobs)
@@ -257,6 +257,17 @@ def test_order_48_census_matches_the_recorded_pairs():
     assert len(census.pairs) == CENSUS_48["pair_count"]
     assert census.counts == CENSUS_48["counts_by_size"]
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == CENSUS_48["compact_sha256"]
+
+
+def test_narrow_census_at_a_large_order_builds_only_the_sizes_asked_for():
+    # The candidate tables stop at size_max: at n = 128 the 32 even jumps
+    # have 2^32 subsets, which a table of every size would have to hold.
+    # 456 pairs of size 3, as counted before the tables were shared.
+    moduli = classify_mod._order_tables(128)[2]
+    for _, fsets, unions in classify_mod._candidate_tables(128, moduli, 3):
+        assert len(fsets) <= 4
+        assert all(len(by_size) == 4 for by_size in unions)
+    assert len(enumerate_type2(128, 3, 3).pairs) == 456
 
 
 def test_type2_census_is_empty_at_every_ci_order():

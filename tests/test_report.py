@@ -107,7 +107,7 @@ def test_direct_writer_matches_json_dumps_at_every_order_up_to_40():
         assert _written(doc) == json.dumps(doc, sort_keys=True, indent=2), n
 
 
-def test_direct_writer_matches_json_dumps_on_flags_timestamps_and_diagnostics():
+def test_direct_writer_matches_json_dumps_on_flags_timestamps_diagnostics_and_extra_fields():
     confirmed = confirm_with_oracle(enumerate_type2(16, 3, 3))
     confirmed.oracle_confirmed[confirmed.pairs[0]] = False  # both flags appear
     diagnostics = ('quote " and backslash \\ in a note', "non-ASCII: é, ≅, 🙂", "")
@@ -116,7 +116,12 @@ def test_direct_writer_matches_json_dumps_on_flags_timestamps_and_diagnostics():
         census_document(enumerate_type2(24)),  # generated_at: one dict on both sides
         census_document(enumerate_type2(9, 3, 4), canonical=True),
         census_document(dataclasses.replace(confirmed, diagnostics=diagnostics)),
+        census_document(enumerate_type2(16, 3, 3), canonical=True),
     ]
+    # The writer reads the layout off the values, so a field the schema
+    # does not name comes out as json.dumps writes it.
+    docs[-1]["pairs"][0]["note"] = {"b": [1.5, True, [], {}], "a": (2, "x"), "c": {}}
+    docs[-1]["extra"] = [[], {"k": None}, -3]
     for doc in docs:
         assert _written(doc) == json.dumps(doc, sort_keys=True, indent=2)
     assert "generated_at" in docs[1] and docs[2]["pairs"] == []
