@@ -37,9 +37,9 @@ from .adam import adam_orbit
 from .graphs import (
     ConnectionSet,
     build_edges,
-    closed_walk_prefix,
     is_isomorphism,
-    rooted_refinement_key,
+    refinement_rounds,
+    walk_counts,
 )
 from .modarith import divisors_gt1, prime_divisors, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
@@ -571,18 +571,35 @@ def confirm_with_oracle(census: PairCensus, cap: int = DEFAULT_CAP) -> PairCensu
     return census
 
 
-def _split_buckets(groups, key: Callable) -> list[list[ConnectionSet]]:
-    """Split every group of two or more by the hash of `key`, keeping the
-    parts of two or more; `key` runs on no member of a smaller group."""
-    parts: list[list[ConnectionSet]] = []
-    for group in groups:
-        if len(group) < 2:
-            continue
-        by_key: dict[int, list[ConnectionSet]] = {}
-        for rep in group:
-            by_key.setdefault(hash(key(rep)), []).append(rep)
-        parts.extend(part for part in by_key.values() if len(part) > 1)
-    return parts
+def _split_lazily(groups, steps: Callable) -> tuple[list[list[ConnectionSet]], int]:
+    """Split every group of two or more by the values that `steps(member)`
+    yields, and return the final buckets with the number of values taken.
+
+    Each step advances every member of a tied part by one value (None once
+    exhausted) and splits the part by that exact value; a member left
+    alone goes no further, and a part exhausted together is a final
+    bucket.  So two members share a final bucket iff their whole sequences
+    are equal.  Members keep their group order within a bucket.
+    """
+    buckets: list[list[ConnectionSet]] = []
+    taken = 0
+    tied = [[(rep, steps(rep)) for rep in group] for group in groups if len(group) > 1]
+    tied.reverse()  # a stack, so parts are finished in group order
+    while tied:
+        by_value: dict = {}
+        for member in tied.pop():
+            by_value.setdefault(next(member[1], None), []).append(member)
+        parts = []
+        for value, members in by_value.items():
+            if value is None:
+                if len(members) > 1:
+                    buckets.append([rep for rep, _ in members])
+            else:
+                taken += len(members)
+                if len(members) > 1:
+                    parts.append(members)
+        tied.extend(reversed(parts))
+    return buckets, taken
 
 
 def ci_full_census(
@@ -595,56 +612,58 @@ def ci_full_census(
 
     Groups the sets into multiplier orbits and buckets the orbit
     representatives in three stages: by their number of components,
-    gcd(n, r_1, ..., r_k); then, within every group of two or more, by
-    the hash of their closed-walk prefix (`graphs.closed_walk_prefix`);
-    then, within every remaining group of two or more, by the hash of
-    their rooted refinement key (`graphs.rooted_refinement_key`), so the
-    bucket tables hold one integer per key.  Every two orbit
-    representatives of a final bucket go first to `certify_isomorphism`,
-    which joins them by a unit multiplier or a residue shift and a unit
-    when such a move exists; the oracle decides only the pairs that no
-    move joins, and only their edge sets are built.  An orbit is CI
-    exactly when no other orbit is isomorphic to it.  When a mapping of
-    expected verdicts (jump tuple -> True for CI) is supplied,
-    disagreements are reported on the verdict rows as anomalies -- never
-    raised.  Orders below 2 and sizes outside [1, n/2] are refused.  One
-    DEBUG record on the `circiso.classify` logger gives the orbit count,
-    the walk and rooted keys computed, the final bucket sizes, the pairs
-    certified by a move, the oracle calls, the isomorphic pairs and the
-    elapsed time.  The census never imports `logging`: a program that has
-    not imported it cannot have enabled DEBUG, so the record is then
-    skipped.
+    gcd(n, r_1, ..., r_k); then, within every group of two or more, by their
+    closed-walk counts W_1..W_8 (`graphs.walk_counts`); then, within every
+    remaining group of two or more, by their rounds of rooted colour
+    refinement (`graphs.refinement_rounds`).  `_split_lazily` runs the
+    last two stages one count or round at a time and stops each orbit as
+    soon as it is alone.  Every two orbit representatives of a final
+    bucket go first to `certify_isomorphism`, which joins them by a unit
+    multiplier or a residue shift and a unit when such a move exists; the
+    oracle decides only the pairs that no move joins, and only their edge
+    sets are built.  An orbit is CI exactly when no other orbit is
+    isomorphic to it.  When a mapping of expected verdicts (jump tuple ->
+    True for CI) is supplied, disagreements are reported on the verdict
+    rows as anomalies -- never raised.  Orders below 2 and sizes outside
+    [1, n/2] are refused.  One DEBUG record on the `circiso.classify`
+    logger gives the orbit count, the orbits that took walk steps and
+    refinement rounds (final sizes included) and how many they took, the
+    final bucket sizes, the pairs certified by a move, the oracle calls,
+    the isomorphic pairs and the elapsed time.  The census never imports
+    `logging`: a program that has not imported it cannot have enabled
+    DEBUG, so the record is then skipped.
 
-    Isomorphic circulants share all three keys, so the buckets separate
-    no isomorphic pair of orbits and the verdicts are those of comparing
-    every pair.  Proof: an isomorphism is a bijection on vertices and
-    edges, so it carries components onto components.  The walk prefix
-    and the rooted key are invariant by the proofs in their docstrings:
-    an isomorphism may be taken to fix 0, since rotations are
-    automorphisms, and then it carries closed walks at 0 onto closed
-    walks at 0 and each round's colours onto equal colours.  Equal keys
-    have equal hashes, so keying by the hash splits no isomorphic pair
-    either; a collision only merges two buckets, and every pair in it is
-    still decided.  Within a bucket, a pair gets the verdict that comparing
-    it alone would give: a map returned by `certify_isomorphism` has
-    passed the edge check of `graphs.is_isomorphism`, whose proof shows it
-    is an isomorphism whatever move proposed it, so "isomorphic" is then
-    proven; a pair without such a map goes to the oracle, which answers
-    both ways.  So "non-isomorphic" comes only from the proven keys or the
-    oracle, and the oracle never relies on the residue-shift theory.
+    Isomorphic circulants share all three invariants, so the buckets
+    separate no isomorphic pair of orbits and the verdicts are those of
+    comparing every pair.  Proof: an isomorphism is a bijection on
+    vertices and edges, so it carries components onto components.  The
+    walk counts and the refinement rounds are invariant by the proofs in
+    their docstrings: an isomorphism may be taken to fix 0, since
+    rotations are automorphisms, and then it carries closed walks at 0
+    onto closed walks at 0 and each round's colours onto equal colours.
+    `_split_lazily` puts two orbits in one final bucket iff their whole
+    sequences are equal, as it splits by exact values, never hashes, so
+    isomorphic orbits stay together through every step.  Within a
+    bucket, a pair gets the verdict that comparing it alone would give: a
+    map returned by `certify_isomorphism` has passed the edge check of
+    `graphs.is_isomorphism`, whose proof shows it is an isomorphism
+    whatever move proposed it, so "isomorphic" is then proven; a pair
+    without such a map goes to the oracle, which answers both ways.  So
+    "non-isomorphic" comes only from the proven invariants or the oracle,
+    and the oracle never relies on the residue-shift theory.
 
-    The first two stages only spare rooted keys, which cost several times
-    a walk prefix: at size 1 the component count tells every orbit apart,
-    so no key is computed, and most orbits that share a component count
-    differ in their first walk counts.  Neither splits anything the
-    rooted key leaves together.  The rooted key refines the closed-walk
+    The first two stages only spare refinement rounds, which cost several
+    times a walk step: at size 1 the component count tells every orbit
+    apart, so no step is taken, and most orbits that share a component
+    count differ in their first walk counts.  Neither splits anything the
+    refinement leaves together.  The refinement rounds refine the closed-walk
     counts W_k = (A^k)_00 at every length k (proof in its docstring), so
-    also the prefix.  In a circulant W_k = tr(A^k)/n, as rotations carry
-    0 to every vertex; the traces for k = 1..n fix the spectrum (Newton's
-    identities), and in a regular graph of degree W_2 the number of
-    components is the multiplicity of the eigenvalue W_2.  Up to hash
-    collisions, the final buckets are therefore those of the rooted key
-    alone.  The keys only prune: isospectral circulants need not be
+    also the first eight.  In a circulant W_k = tr(A^k)/n, as rotations
+    carry 0 to every vertex; the traces for k = 1..n fix the spectrum
+    (Newton's identities), and in a regular graph of degree W_2 the
+    number of components is the multiplicity of the eigenvalue W_2.  The
+    final buckets are therefore those of the refinement rounds alone.
+    The invariants only prune: isospectral circulants need not be
     isomorphic (Elspas and Turner, J. Combin. Theory 1970), and every
     pair that shares a final bucket is still decided by a checked map or
     the oracle.
@@ -668,8 +687,8 @@ def ci_full_census(
     by_components: dict[int, list[ConnectionSet]] = {}
     for rep in reps:
         by_components.setdefault(gcd(n, *rep.jumps), []).append(rep)
-    by_walks = _split_buckets(by_components.values(), closed_walk_prefix)
-    buckets = _split_buckets(by_walks, rooted_refinement_key)
+    by_walks, walk_steps = _split_lazily(by_components.values(), walk_counts)
+    buckets, rounds = _split_lazily(by_walks, refinement_rounds)
     iso_partners: dict[ConnectionSet, list[ConnectionSet]] = {rep: [] for rep in reps}
     certified = oracle_calls = isomorphic_pairs = 0
     for bucket in buckets:
@@ -690,16 +709,18 @@ def ci_full_census(
     logging = sys.modules.get("logging")  # only a program that imported it can enable DEBUG
     if logging is not None:
         logging.getLogger(__name__).debug(
-            "ci census n=%(n)d size=%(size)d: %(orbits)d orbits, %(walk_keys)d walk keys, "
-            "%(rooted_keys)d rooted keys, buckets %(buckets)s, %(certified)d certified pairs, "
-            "%(oracle_calls)d oracle calls, "
+            "ci census n=%(n)d size=%(size)d: %(orbits)d orbits, %(walk_keys)d walk keys "
+            "(%(walk_steps)d steps), %(rooted_keys)d rooted keys (%(rounds)d rounds), "
+            "buckets %(buckets)s, %(certified)d certified pairs, %(oracle_calls)d oracle calls, "
             "%(isomorphic_pairs)d isomorphic pairs, %(elapsed_s).3f s",
             {
                 "n": n,
                 "size": size,
                 "orbits": len(reps),
                 "walk_keys": sum(len(group) for group in by_components.values() if len(group) > 1),
+                "walk_steps": walk_steps,
                 "rooted_keys": sum(len(group) for group in by_walks),
+                "rounds": rounds,
                 "buckets": [len(bucket) for bucket in buckets],
                 "certified": certified,
                 "oracle_calls": oracle_calls,

@@ -4,9 +4,9 @@ A circulant graph is named by its order n and a reduced jump set
 R subseteq [1, n//2]: vertex x is joined to x +- r (mod n) for every r in R.
 This module materialises such graphs, recognises whether an arbitrary edge
 set is circulant, checks that a vertex map carries one circulant onto
-another (`is_isomorphism`), and computes the two invariants that bucket
-the CI census: a prefix of the closed-walk counts and the rooted
-colour-refinement key.
+another (`is_isomorphism`), and generates, one step at a time, the two
+invariants that bucket the CI census: the closed-walk counts from vertex
+0 and the rounds of rooted colour refinement.
 """
 
 from __future__ import annotations
@@ -142,97 +142,126 @@ def gcd_signature(c: ConnectionSet) -> tuple[int, ...]:
     return tuple(sorted(gcd(c.n, r) for r in c.jumps))
 
 
-WALK_PREFIX = 8  # closed-walk lengths in `closed_walk_prefix`
+WALK_PREFIX = 8  # closed-walk lengths yielded by `walk_counts`
 
 
-def closed_walk_prefix(c: ConnectionSet) -> tuple[int, ...]:
-    """The numbers W_1..W_K of closed walks of length k from vertex 0 of
-    C_n(R), K = WALK_PREFIX, by Kronecker packing.
+def walk_counts(c: ConnectionSet):
+    """Yield the numbers W_1..W_K of closed walks of length k from vertex 0
+    of C_n(R), K = WALK_PREFIX, one step at a time by Kronecker packing.
 
     Walks from 0 of length k to j are the coefficient of x^j in P(x)^k
-    mod x^n - 1, P the sum of x^s over s in +-R.  Each coefficient sits in
-    a field of w bits of one integer, and a step multiplies by P packed
-    the same way, then folds mod x^n - 1 as (v & mask) + (v >> n*w).
-    W_k is the low field after step k.
+    mod x^n - 1, P the sum of x^s over s in +-R, read off R directly:
+    x^r and x^(n - r) for each jump r, which are one term when r = n/2.
+    Each coefficient sits in a field of w bits of one integer, and a step
+    multiplies by P packed the same way, then folds mod x^n - 1 as
+    (v & mask) + (v >> n*w).  W_k is the low field after step k.
 
     Invariance: W_k = (A^k)_00 = tr(A^k)/n, as rotations carry 0 to every
     vertex, and an isomorphism taken to fix 0 carries closed walks at 0
-    onto closed walks at 0.  Exactness: with d = |+-R|, every coefficient
-    before and after the fold counts walks of length k <= K, so it is at
-    most d^k < 2^w and no carry crosses into the next field; the product
-    has degree < 2n - 1, so one fold reduces it.
+    onto closed walks at 0.  Exactness: with d = |+-R| = 2|R| - [n/2 in R],
+    every coefficient before and after the fold counts walks of length
+    k <= K, so it is at most d^k < 2^w and no carry crosses into the next
+    field; the product has degree < 2n - 1, so one fold reduces it.
     """
-    n, sym = c.n, c.symmetric_jumps()
-    w = (len(sym) ** WALK_PREFIX).bit_length() + 1
-    step = sum(1 << s * w for s in sym)
+    n, jumps = c.n, c.jumps
+    d = 2 * len(jumps) - (2 * jumps[-1] == n)
+    w = (d**WALK_PREFIX).bit_length() + 1
+    step = 0
+    for r in jumps:
+        step |= 1 << r * w | 1 << (n - r) * w
     shift = n * w
     mask, field = (1 << shift) - 1, (1 << w) - 1
-    walks, counts = 1, []
+    walks = 1
     for _ in range(WALK_PREFIX):
         walks *= step
         walks = (walks & mask) + (walks >> shift)
-        counts.append(walks & field)
-    return tuple(counts)
+        yield walks & field
 
 
-def rooted_refinement_key(c: ConnectionSet) -> tuple:
-    """Colour refinement of C_n(R) with vertex 0 individualised, as a key.
+def refinement_rounds(c: ConnectionSet):
+    """Colour refinement of C_n(R) with vertex 0 individualised, one round
+    at a time: yields each round's sorted distinct signatures, then the
+    final class sizes.
 
     Vertex 0 starts with colour 0 and every other vertex with colour 1.
-    Each round gives vertex x the signature (colour of x, sorted colours
-    of x + s for s in +-R) and renames the colours by the rank of each
-    signature among the round's sorted distinct signatures.  A vertex's
-    signature begins with its own colour, so the classes only ever split,
-    and the rounds stop when their number stops growing.  The key is the
-    tuple of each round's sorted distinct signatures, plus the final class
-    sizes.  Vertex 0 keeps colour 0 throughout, since its signature sorts
-    first.
+    With `classes` colours in play and b = d.bit_length(), d = |+-R|, a
+    round gives vertex x the packed signature
+        colour(x) << classes*b  |  sum of 1 << colour(x + s)*b, s in +-R,
+    and renames the colours by the rank of each signature among the
+    round's sorted distinct signatures.  Own colour sits above every
+    neighbour field, so the classes only ever split, and the rounds stop
+    when their number stops growing.  Vertex 0 keeps colour 0 throughout:
+    it alone has own colour 0, so its signature sorts first.
 
-    Isomorphic circulants have equal keys.  Proof: let phi be an
+    Packing is exact.  Each field counts at most d < 2^b neighbours, so no
+    field carries into the next, and the neighbour sum stays below
+    2^(classes*b); two packed signatures are therefore equal iff the pairs
+    (own colour, multiset of neighbour colours) are.  So the rounds split
+    the classes exactly as the tuple signatures (own colour, sorted
+    neighbour colours) do, and two graphs get equal packed rounds iff they
+    get equal tuple rounds.  By induction over rounds: if both graphs have
+    equal rounds so far, the same bijection relates their packed and tuple
+    colour names (it starts as the identity), so it carries one graph's
+    set of tuple signatures onto its packed set exactly as it does the
+    other's; the two sets of tuple signatures are equal iff the packed
+    ones are, and when equal, the ranks again relate packed and tuple
+    names by one common bijection.  The final sizes are then listed in
+    one common order too.
+
+    Isomorphic circulants yield equal sequences.  Proof: let phi be an
     isomorphism from C_n(R) onto C_n(S).  Rotation by -phi(0) is an
     automorphism of C_n(S), so we may take phi(0) = 0; then the starting
     colours satisfy colour_S(phi(x)) = colour_R(x).  If that holds before
     a round, phi maps the neighbours of x onto those of phi(x), so x and
     phi(x) get equal signatures, each round has the same sorted distinct
     signatures on both sides, and the ranks agree again.  The two
-    refinements therefore stop at the same round with equal keys, and
+    refinements therefore stop at the same round with equal rounds, and
     phi carries each final class onto one of the same size.
 
-    The key refines the closed-walk counts W_k from vertex 0 at every
-    length k, so also `closed_walk_prefix` (the suites in `tests/` check
-    this).  The last round splits no class, so all vertices of a class
-    have the same number of neighbours in each class: the final
-    partition is equitable, with {0} a class of its own, and the last
-    round's signatures give its quotient matrix Q.  Walks from 0 project
-    onto walks of Q from the class of 0, so W_k = (Q^k)_00, and equal
-    keys give equal walk counts.
+    The sequence refines the closed-walk counts W_k from vertex 0 at every
+    length k, so also `walk_counts` (the suites in `tests/` check this).
+    The last round splits no class, so all vertices of a class have the
+    same number of neighbours in each class: the final partition is
+    equitable, with {0} a class of its own, and the last round's
+    signatures give its quotient matrix Q.  Walks from 0 project onto
+    walks of Q from the class of 0, so W_k = (Q^k)_00, and equal
+    sequences give equal walk counts.
 
     Negation is an automorphism that fixes 0, so by the same induction
     x and -x always share a colour; each round computes the signatures
-    of x = 0..n//2 only and mirrors the rest.  A round sorts n//2 + 1
-    signatures of |+-R| + 1 colours, and there are at most n - 1 rounds.
+    of x = 0..n//2 only and mirrors the rest.  There are at most n - 1
+    rounds.
     """
-    n, half = c.n, c.n // 2
-    sym = c.symmetric_jumps()
+    n, half, jumps = c.n, c.n // 2, c.jumps
+    offsets = jumps + tuple(n - r for r in jumps if 2 * r != n)  # +-R
+    b = len(offsets).bit_length()
     colours = [0] + [1] * (n - 1)
-    rounds = []
     classes = 2
     while True:
-        doubled = colours + colours
-        around = zip(*[doubled[s : s + half + 1] for s in sym])
-        signatures = [(own, tuple(sorted(nbrs))) for own, nbrs in zip(colours, around)]
+        fields = [1 << colour * b for colour in range(classes)]
+        doubled = [fields[colour] for colour in colours] * 2
+        own = classes * b
+        signatures = list(
+            map(
+                sum,
+                zip(
+                    [colour << own for colour in colours[: half + 1]],
+                    *[doubled[s : s + half + 1] for s in offsets],
+                ),
+            )
+        )
         distinct = sorted(set(signatures))
         rank = {signature: i for i, signature in enumerate(distinct)}
         low = [rank[signature] for signature in signatures]
         colours = low + low[n - half - 1 : 0 : -1]
-        rounds.append(tuple(distinct))
+        yield tuple(distinct)
         if len(distinct) == classes:
             break
         classes = len(distinct)
     sizes = [0] * classes
     for colour in colours:
         sizes[colour] += 1
-    return tuple(rounds), tuple(sizes)
+    yield tuple(sizes)
 
 
 def parse_connection_sets(text: str) -> list[ConnectionSet]:

@@ -22,13 +22,13 @@ from circiso.classify import (
     _masks_of_size,
     _order_tables,
     _orbit_minima,
-    _split_buckets,
+    _split_lazily,
     _step_candidates,
     certify_isomorphism,
     classify_pair,
     probe_records,
 )
-from circiso.graphs import WALK_PREFIX, closed_walk_prefix, is_isomorphism, rooted_refinement_key
+from circiso.graphs import WALK_PREFIX, is_isomorphism, refinement_rounds, walk_counts
 from circiso.theta import (
     _class_parts,
     _closed_under,
@@ -506,8 +506,8 @@ def walk_counts_match_traces(max_n: int = 16) -> list[str]:
 
 
 def walk_prefix_matches_reference(max_n: int = 20, max_size: int = 4, max_small_n: int = 32):
-    """closed_walk_prefix(R) equals the first WALK_PREFIX closed-walk counts
-    of the package-free `closed_walk_counts` for every jump set R at
+    """walk_counts(R) yields the first WALK_PREFIX closed-walk counts of
+    the package-free `closed_walk_counts` for every jump set R at
     n <= max_n, and for every R of size <= max_size at n <= max_small_n.
     Returns the violations and the number of sets checked."""
     bad, checked = [], 0
@@ -515,7 +515,7 @@ def walk_prefix_matches_reference(max_n: int = 20, max_size: int = 4, max_small_
         for size in range(1, (n // 2 if n <= max_n else max_size) + 1):
             for combo in itertools.combinations(range(1, n // 2 + 1), size):
                 checked += 1
-                if closed_walk_prefix(ConnectionSet(n, combo)) != closed_walk_counts(
+                if tuple(walk_counts(ConnectionSet(n, combo))) != closed_walk_counts(
                     n, combo, WALK_PREFIX
                 ):
                     bad.append(f"walk prefix of C_{n}{combo} differs from the reference")
@@ -524,11 +524,12 @@ def walk_prefix_matches_reference(max_n: int = 20, max_size: int = 4, max_small_
 
 def walk_stage_keeps_final_buckets(cells) -> tuple[list[str], int]:
     """At every (n, size) of `cells`, bucketing the multiplier orbits by
-    component count, then walk prefix, then rooted key, as `ci_full_census`
-    does, gives the final buckets of component count, then rooted key.
-    Both go through `classify._split_buckets`.  Orbits are the package-free
-    `brute_unit_orbit`s, each represented by its smallest member.  Returns
-    the violations and the number of rooted keys the walk stage spares."""
+    component count, then walk counts, then refinement rounds, as
+    `ci_full_census` does, gives the final buckets of component count, then
+    refinement rounds.  Both go through `classify._split_lazily`.  Orbits
+    are the package-free `brute_unit_orbit`s, each represented by its
+    smallest member.  Returns the violations and the number of orbits the
+    walk stage spares from refinement."""
     bad, spared = [], 0
     for n, size in cells:
         reps = sorted(
@@ -540,14 +541,75 @@ def walk_stage_keeps_final_buckets(cells) -> tuple[list[str], int]:
         by_components = {}
         for rep in reps:
             by_components.setdefault(gcd(n, *rep), []).append(ConnectionSet(n, rep))
-        two = _split_buckets(by_components.values(), rooted_refinement_key)
-        by_walks = _split_buckets(by_components.values(), closed_walk_prefix)
-        three = _split_buckets(by_walks, rooted_refinement_key)
+        two, _ = _split_lazily(by_components.values(), refinement_rounds)
+        by_walks, _ = _split_lazily(by_components.values(), walk_counts)
+        three, _ = _split_lazily(by_walks, refinement_rounds)
         if sorted(map(sorted, two)) != sorted(map(sorted, three)):
             bad.append(f"the walk stage changes the final buckets at n={n}, size={size}")
         tied = [group for group in by_components.values() if len(group) > 1]
         spared += sum(map(len, tied)) - sum(map(len, by_walks))
     return bad, spared
+
+
+def rooted_key(c: ConnectionSet) -> tuple:
+    """The whole sequence of `refinement_rounds` of c as one tuple."""
+    return tuple(refinement_rounds(c))
+
+
+def reference_refinement(n: int, jumps) -> tuple:
+    """Colour refinement of C_n(jumps) with vertex 0 individualised, read
+    off the edge-level adjacency of `circulant_edge_set`.  Vertex 0 starts
+    with colour 0 and the rest with colour 1; each round gives every vertex
+    the signature (own colour, sorted neighbour colours) and renames the
+    colours by the rank of each signature among the round's sorted
+    distinct signatures, and the rounds stop once one splits no class.
+    Returns every round's sorted distinct signatures, then the final class
+    sizes."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in map(tuple, circulant_edge_set(n, jumps)):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    colours = [0] + [1] * (n - 1)
+    out = []
+    while True:
+        classes = len(set(colours))
+        signatures = [(colours[v], tuple(sorted(colours[u] for u in nbrs[v]))) for v in range(n)]
+        distinct = sorted(set(signatures))
+        out.append(tuple(distinct))
+        colours = [distinct.index(signature) for signature in signatures]
+        if len(distinct) == classes:
+            break
+    out.append(tuple(colours.count(colour) for colour in range(len(distinct))))
+    return tuple(out)
+
+
+def packed_rounds_match_reference(max_n: int = 16, order: int = 24, max_size: int = 5):
+    """The packed signatures of `refinement_rounds` split the vertices as
+    the package-free `reference_refinement` does, and tell the same sets
+    apart: for every jump set, each round has as many distinct signatures
+    in both and the final class sizes agree as multisets; and grouping the
+    jump sets of an order by their whole sequence of rounds gives the same
+    partition as grouping them by the reference.  Covers every order
+    n <= max_n at all sizes and `order` at sizes <= max_size.  Returns the
+    violations and the number of sets checked."""
+    bad, checked = [], 0
+    cells = [(n, n // 2) for n in range(2, max_n + 1)] + [(order, max_size)]
+    for n, top in cells:
+        by_key, by_reference = {}, {}
+        for size in range(1, top + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                checked += 1
+                key = rooted_key(ConnectionSet(n, combo))
+                reference = reference_refinement(n, combo)
+                if [len(r) for r in key[:-1]] != [len(r) for r in reference[:-1]] or sorted(
+                    key[-1]
+                ) != sorted(reference[-1]):
+                    bad.append(f"packed rounds split C_{n}{combo} unlike the reference")
+                by_key.setdefault(key, set()).add(combo)
+                by_reference.setdefault(reference, set()).add(combo)
+        if set(map(frozenset, by_key.values())) != set(map(frozenset, by_reference.values())):
+            bad.append(f"packed rounds and the reference group the sets of order {n} differently")
+    return bad, checked
 
 
 def walk_key_separates_only_non_isomorphic(max_n: int = 18) -> tuple[list[str], int]:
@@ -579,10 +641,10 @@ def walk_key_separates_only_non_isomorphic(max_n: int = 18) -> tuple[list[str], 
 
 
 def rooted_key_is_invariant(max_n: int = 16, census_orders=(16, 24)) -> list[str]:
-    """rooted_refinement_key(xR) equals rooted_refinement_key(R) for every
-    jump set R at n <= max_n (749 sets at max_n = 16) and every unit
-    1 < x <= n/2 (x and -x give the same set), with unit multiples taken by
-    the package-free `reflexive_jump`; and both sides of every Type-2
+    """rooted_key(xR) equals rooted_key(R) for every jump set R at
+    n <= max_n (749 sets at max_n = 16) and every unit 1 < x <= n/2 (x and
+    -x give the same set), with unit multiples taken by the package-free
+    `reflexive_jump`; and both sides of every Type-2
     census pair at the orders `census_orders` have equal keys.  Those pairs
     are isomorphic by a residue shift, not by a multiplier, so no oracle is
     needed to know they must agree."""
@@ -591,14 +653,14 @@ def rooted_key_is_invariant(max_n: int = 16, census_orders=(16, 24)) -> list[str
         units = [x for x in range(2, n // 2 + 1) if gcd(x, n) == 1]
         for size in range(1, n // 2 + 1):
             for combo in itertools.combinations(range(1, n // 2 + 1), size):
-                key = rooted_refinement_key(ConnectionSet(n, combo))
+                key = rooted_key(ConnectionSet(n, combo))
                 for x in units:
                     scaled = tuple(sorted({reflexive_jump(n, x * r) for r in combo}))
-                    if rooted_refinement_key(ConnectionSet(n, scaled)) != key:
+                    if rooted_key(ConnectionSet(n, scaled)) != key:
                         bad.append(f"rooted key of C_{n}{combo} changes under the unit {x}")
     for n in census_orders:
         for left, right in enumerate_type2(n).pairs:
-            if rooted_refinement_key(left) != rooted_refinement_key(right):
+            if rooted_key(left) != rooted_key(right):
                 bad.append(f"Type-2 pair {left}, {right} has unequal rooted keys")
     return bad
 
@@ -624,7 +686,7 @@ def rooted_key_separates_walk_ties(grid) -> tuple[list[str], dict]:
             by_walks.setdefault(closed_walk_counts(n, rep), []).append(rep)
         counts[(n, size)] = 0
         for tied in by_walks.values():
-            keys = {rep: rooted_refinement_key(ConnectionSet(n, rep)) for rep in tied}
+            keys = {rep: rooted_key(ConnectionSet(n, rep)) for rep in tied}
             for a, b in itertools.combinations(tied, 2):
                 if keys[a] == keys[b]:
                     continue

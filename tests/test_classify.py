@@ -25,8 +25,8 @@ from circiso.graphs import (
     WALK_PREFIX,
     ConnectionSet,
     build_edges,
-    closed_walk_prefix,
-    rooted_refinement_key,
+    refinement_rounds,
+    walk_counts,
 )
 from circiso.oracle import are_isomorphic
 from circiso.report import emit_census
@@ -395,10 +395,15 @@ def test_ci_full_census_verdicts_match_recorded_digests():
 
 def test_ci_full_census_keys_only_orbits_that_share_a_component_count(monkeypatch):
     # at size 1 the component count gcd(n, r) tells every orbit apart, so a
-    # large order computes no walk prefix, no rooted key and no oracle call
+    # large order takes no walk step, no refinement round and no oracle call
     keyed, decided = [], []
-    monkeypatch.setattr(classify_mod, "closed_walk_prefix", keyed.append)
-    monkeypatch.setattr(classify_mod, "rooted_refinement_key", keyed.append)
+
+    def recorder(c):
+        keyed.append(c)
+        yield from ()
+
+    monkeypatch.setattr(classify_mod, "walk_counts", recorder)
+    monkeypatch.setattr(classify_mod, "refinement_rounds", recorder)
     monkeypatch.setattr(classify_mod, "are_isomorphic", lambda *a, **k: decided.append(a))
     verdicts = ci_full_census(1200, 1, oracle_cap=2000)
     assert len(verdicts) == 29 and all(v.ci for v in verdicts)
@@ -466,6 +471,24 @@ def test_ci_full_census_needs_the_oracle_first_at_order_25(monkeypatch):
     assert decided == [(25, True)]
 
 
+def test_ci_full_census_finds_non_ci_orbits_exactly_at_muzychuk_orders():
+    # Muzychuk (Discrete Math. 1997): every circulant of order n is a
+    # CI-graph iff n is 8, 9 or 18, or n = k, 2k or 4k with k odd and
+    # squarefree.  The sizes 1..n/2 reach every circulant of order n, so a
+    # census over all of them finds a non-CI orbit iff n is not such an
+    # order; at 36 and 40 one already shows at a size <= 6.
+    smallest = {}
+    for n, max_size in [(n, n // 2) for n in range(4, 35)] + [(36, 6), (40, 6)]:
+        for size in range(1, max_size + 1):
+            if not all(v.ci for v in ci_full_census(n, size, oracle_cap=max(n, 34))):
+                smallest[n] = size
+                break
+        else:
+            assert n <= 34 and every_circulant_is_ci(n), n
+    assert all(not every_circulant_is_ci(n) for n in smallest)
+    assert smallest == {16: 3, 24: 3, 25: 6, 27: 4, 32: 3, 36: 4, 40: 3}
+
+
 def test_certify_isomorphism_refuses_orders_and_skips_sizes():
     assert certify_isomorphism(ConnectionSet(16, (1, 2)), ConnectionSet(16, (1, 2, 3))) is None
     with pytest.raises(ValueError):
@@ -478,20 +501,21 @@ def test_certify_isomorphism_refuses_orders_and_skips_sizes():
 
 @pytest.mark.parametrize("n, size", CI_CENSUS_GRID)
 def test_ci_full_census_roots_only_component_ties(monkeypatch, n, size):
-    # the walk prefix runs once on exactly the orbits that share a component
-    # count, the rooted key once on exactly those that also share the prefix
+    # walk steps start on exactly the orbits that share a component count,
+    # refinement rounds on exactly those that also share W_1..W_8, and each
+    # generator is started at most once per orbit
     walked, rooted = [], []
 
     def walk_recorder(c):
         walked.append(c)
-        return closed_walk_prefix(c)
+        yield from walk_counts(c)
 
     def root_recorder(c):
         rooted.append(c)
-        return rooted_refinement_key(c)
+        yield from refinement_rounds(c)
 
-    monkeypatch.setattr(classify_mod, "closed_walk_prefix", walk_recorder)
-    monkeypatch.setattr(classify_mod, "rooted_refinement_key", root_recorder)
+    monkeypatch.setattr(classify_mod, "walk_counts", walk_recorder)
+    monkeypatch.setattr(classify_mod, "refinement_rounds", root_recorder)
     reps = [v.orbit_members[0] for v in ci_full_census(n, size)]
     components = [gcd(n, *rep.jumps) for rep in reps]
     walks = [
@@ -514,7 +538,7 @@ def test_ci_full_census_prints_nothing_by_default():
 
 def test_ci_full_census_debug_record_is_self_consistent(caplog):
     caplog.set_level(logging.DEBUG, logger="circiso.classify")
-    rooted_keys = 0
+    rooted_keys = walk_steps = rounds = 0
     for n, size in CI_CENSUS_GRID:
         caplog.clear()
         verdicts = ci_full_census(n, size)
@@ -523,14 +547,20 @@ def test_ci_full_census_debug_record_is_self_consistent(caplog):
         assert stats["n"] == n and stats["size"] == size
         assert stats["orbits"] == len(verdicts)
         assert stats["rooted_keys"] <= stats["walk_keys"] <= stats["orbits"]
+        assert stats["walk_keys"] <= stats["walk_steps"] <= WALK_PREFIX * stats["walk_keys"]
+        assert stats["rooted_keys"] <= stats["rounds"] <= n * stats["rooted_keys"]
         assert stats["certified"] + stats["oracle_calls"] == sum(
             comb(b, 2) for b in stats["buckets"]
         )
         assert 2 * stats["isomorphic_pairs"] == sum(len(v.isomorphic_to) for v in verdicts)
         assert stats["elapsed_s"] >= 0
         rooted_keys += stats["rooted_keys"]
-    # the walk prefix leaves few ties for the rooted key on the grid
+        walk_steps += stats["walk_steps"]
+        rounds += stats["rounds"]
+    # the walk counts leave few ties for the refinement on the grid, and
+    # both stages stop at the first value that sets an orbit apart
     assert rooted_keys <= 100
+    assert walk_steps <= 3000 and rounds <= 320
 
 
 def test_ci_full_census_respects_cap():

@@ -19,6 +19,7 @@ from suites import (
     least_period_decides_shifts,
     nonunit_steps_match_edges,
     orbit_symmetry,
+    packed_rounds_match_reference,
     residue_kernel_agrees_with_edges,
     rooted_key_is_invariant,
     rooted_key_separates_walk_ties,
@@ -133,10 +134,17 @@ def test_walk_prefix_matches_reference_walk_counts():
 
 
 def test_walk_stage_keeps_the_final_ci_buckets():
-    # the 98 cells of the CI verdict digests: the walk prefix only spares
-    # rooted keys, it splits nothing the rooted key keeps together
+    # the 98 cells of the CI verdict digests: the walk counts only spare
+    # refinement rounds, they split nothing the rounds keep together
     bad, spared = walk_stage_keeps_final_buckets(sorted(CI_VERDICT_SHA256))
     assert bad == [] and spared == 1804
+
+
+def test_packed_rounds_match_reference_refinement():
+    # every set at n <= 16, then sizes <= 5 at n = 24, against tuple
+    # signatures read off the edge-level adjacency
+    bad, checked = packed_rounds_match_reference(16, 24, 5)
+    assert bad == [] and checked == 2334
 
 
 def test_rooted_key_is_invariant_under_units_and_type2_pairs():
