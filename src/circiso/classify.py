@@ -584,12 +584,10 @@ def _split_lazily(groups, steps: Callable) -> tuple[list[list[ConnectionSet]], i
     buckets: list[list[ConnectionSet]] = []
     taken = 0
     tied = [[(rep, steps(rep)) for rep in group] for group in groups if len(group) > 1]
-    tied.reverse()  # a stack, so parts are finished in group order
     while tied:
         by_value: dict = {}
         for member in tied.pop():
             by_value.setdefault(next(member[1], None), []).append(member)
-        parts = []
         for value, members in by_value.items():
             if value is None:
                 if len(members) > 1:
@@ -597,8 +595,7 @@ def _split_lazily(groups, steps: Callable) -> tuple[list[list[ConnectionSet]], i
             else:
                 taken += len(members)
                 if len(members) > 1:
-                    parts.append(members)
-        tied.extend(reversed(parts))
+                    tied.append(members)
     return buckets, taken
 
 
