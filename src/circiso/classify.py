@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
@@ -45,13 +46,12 @@ from .modarith import divisors_gt1, prime_divisors, reflexive_reduce
 from .oracle import DEFAULT_CAP, are_isomorphic
 from .theta import (
     ThetaMap,
-    _class_parts,
     _image_set,
-    _least_period,
     _mask_jumps,
     _nonunit_steps,
     _probe_plan,
     _rotate_classes,
+    _shift_plan,
 )
 from .theta import theta_image  # noqa: F401  (perfbench's tracer wraps `classify.theta_image`)
 
@@ -77,11 +77,17 @@ class PairCensus:
     n: int
     size_min: int
     size_max: int
-    pairs: tuple[Pair, ...]
-    witnesses: dict[Pair, tuple[Probe, ...]]
-    counts: dict[int, int]  # jump-set size -> number of pairs
+    witnesses: dict[Pair, tuple[Probe, ...]]  # in pair order
     oracle_confirmed: Optional[dict[Pair, bool]] = None
-    diagnostics: tuple[str, ...] = ()
+
+    @property
+    def pairs(self) -> tuple[Pair, ...]:
+        return tuple(self.witnesses)
+
+    @property
+    def counts(self) -> dict[int, int]:
+        """Jump-set size -> number of pairs."""
+        return dict(Counter(len(left.jumps) for left, _ in self.witnesses))
 
 
 @dataclass(frozen=True)
@@ -418,21 +424,20 @@ def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
     tagged step candidates (`_step_candidates`), with their witnesses
     (picklable worker entry; args is (n, candidates)).
 
-    Each minimum R is probed at the moduli of its tag: those m that
-    divide a jump and leave A = {s in +-R : m does not divide s} closed
-    under a step n/p of m; no other m has a circulant shift that is not
-    a unit multiplier (`theta._nonunit_steps`), and a unit multiplier
-    maps R into its own orbit.  A tagged modulus is
-    probed only at the t whose image is circulant: the multiples of
+    Each minimum R is probed at the moduli of its tag: those m that divide a
+    jump and leave A = {s in +-R : m does not divide s} closed under a step
+    n/p of m; no other m has a circulant shift that is not a unit multiplier
+    (`theta._nonunit_steps`), and a unit multiplier maps R into its own
+    orbit.  A tagged modulus is probed only at the t whose image is
+    circulant, read off its plan (`theta._shift_plan`): the multiples of
     q = d / gcd(d, m^2), d the least period of A (`theta._least_period`,
-    whose docstring proves it).  Passing means q < q0 = n / gcd(n, m^2)
-    <= n/m, so t = q is always in range and the scan needs no range test.
-    Each of those images is built by `theta._rotate_classes`.  A circulant
-    image S outside the orbit of R (which holds R, so self images are out
-    too) is a Type-2 partner, and (xR, xS) is recorded with the same
-    witness for every unit x <= n/2 (x and n - x give the same reduced
-    set); both sides are multiplied through the byte tables of
-    `_order_tables`.
+    whose docstring proves it).  Passing means q < q0 = n / gcd(n, m^2) <= n/m, so
+    t = q is always in range and the scan needs no range test.  Each of
+    those images is built by `theta._rotate_classes`.  A circulant image S
+    outside the orbit of R (which holds R, so self images are out too) is a
+    Type-2 partner, and (xR, xS) is recorded with the same witness for every
+    unit x <= n/2 (x and n - x give the same reduced set); both sides are
+    multiplied through the byte tables of `_order_tables`.
 
     When the image S_1 at t = q lies in the orbit, S_1 = xR for a unit x,
     no later t of that m gives a partner, so the scan of m stops.  Proof:
@@ -455,11 +460,7 @@ def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
         for i, (m, mult, _) in enumerate(moduli):
             if not tag >> i & 1:
                 continue
-            fixed = a & mult
-            moving = a ^ fixed
-            d = _least_period(n, primes, moving)
-            q = d // gcd(d, m * m)
-            parts = _class_parts(m, mult, moving)
+            fixed, parts, q = _shift_plan(n, primes, m, mult, a)
             for t in range(q, n // m, q):
                 w = _rotate_classes(n, t * m, fixed, parts) >> 1 & low_half
                 if w not in orbit:
@@ -546,26 +547,17 @@ def enumerate_type2(
             left, right = sorted(tuple(_mask_jumps(v)) for v in masks)
             rows.append((left, right, tuple(sorted(probes))))
     rows.sort()
-    witnesses: dict[Pair, tuple[Probe, ...]] = {}
-    counts: dict[int, int] = {}
-    for left, right, probes in rows:
-        witnesses[(ConnectionSet(n, left), ConnectionSet(n, right))] = probes
-        counts[len(left)] = counts.get(len(left), 0) + 1
-    return PairCensus(
-        n=n,
-        size_min=size_min,
-        size_max=size_max,
-        pairs=tuple(witnesses),
-        witnesses=witnesses,
-        counts=counts,
-    )
+    witnesses = {
+        (ConnectionSet(n, left), ConnectionSet(n, right)): probes for left, right, probes in rows
+    }
+    return PairCensus(n=n, size_min=size_min, size_max=size_max, witnesses=witnesses)
 
 
 def confirm_with_oracle(census: PairCensus, cap: int = DEFAULT_CAP) -> PairCensus:
     """Attach an independent isomorphism verdict to every census pair."""
     confirmed = {
         pair: are_isomorphic(build_edges(pair[0]), build_edges(pair[1]), cap=cap)
-        for pair in census.pairs
+        for pair in census.witnesses
     }
     census.oracle_confirmed = confirmed
     return census

@@ -102,11 +102,10 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    size_max = args.max_size if args.max_size is not None else args.n // 2
     census = classify_mod.enumerate_type2(
         args.n,
         size_min=args.min_size,
-        size_max=size_max,
+        size_max=args.max_size,
         allow_small=args.allow_small_sets,
         jobs=args.jobs,
     )

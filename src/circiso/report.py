@@ -28,9 +28,10 @@ def _jumps_str(c: ConnectionSet) -> str:
 
 
 def census_document(census: PairCensus, canonical: bool = False) -> dict:
-    """The census as a plain JSON-ready dict (schema_version 1)."""
+    """The census as a plain JSON-ready dict (schema_version 1).  The
+    "diagnostics" list of the schema is always empty."""
     pairs = []
-    for left, right in census.pairs:
+    for (left, right), probes in census.witnesses.items():
         confirmed = None
         if census.oracle_confirmed is not None:
             confirmed = census.oracle_confirmed.get((left, right))
@@ -38,7 +39,7 @@ def census_document(census: PairCensus, canonical: bool = False) -> dict:
             {
                 "left": list(left.jumps),
                 "right": list(right.jumps),
-                "witnesses": [[m, t] for m, t in census.witnesses[(left, right)]],
+                "witnesses": [[m, t] for m, t in probes],
                 "oracle_confirmed": confirmed,
             }
         )
@@ -47,10 +48,10 @@ def census_document(census: PairCensus, canonical: bool = False) -> dict:
         "n": census.n,
         "size_min": census.size_min,
         "size_max": census.size_max,
-        "pair_count": len(census.pairs),
+        "pair_count": len(census.witnesses),
         "counts_by_size": {str(k): v for k, v in sorted(census.counts.items())},
         "pairs": pairs,
-        "diagnostics": list(census.diagnostics),
+        "diagnostics": [],
     }
     if not canonical:
         doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -104,8 +105,7 @@ def emit_census(census: PairCensus, format: str = "json", canonical: bool = Fals
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for left, right in census.pairs:
-            probes = census.witnesses[(left, right)]
+        for (left, right), probes in census.witnesses.items():
             confirmed = ""
             if census.oracle_confirmed is not None:
                 confirmed = str(census.oracle_confirmed.get((left, right), "")).lower()
@@ -123,51 +123,47 @@ def emit_census(census: PairCensus, format: str = "json", canonical: bool = Fals
     if format == "text":
         lines = [
             f"Type-2 pairs of order {census.n} "
-            f"(set sizes {census.size_min}..{census.size_max}): {len(census.pairs)}"
+            f"(set sizes {census.size_min}..{census.size_max}): {len(census.witnesses)}"
         ]
-        for idx, (left, right) in enumerate(census.pairs, start=1):
-            probes = census.witnesses[(left, right)]
+        for idx, ((left, right), probes) in enumerate(census.witnesses.items(), start=1):
             witness_str = ", ".join(f"m={m},t={t}" for m, t in probes)
             suffix = ""
             if census.oracle_confirmed is not None:
                 verdict = census.oracle_confirmed.get((left, right))
                 suffix = "  [oracle ok]" if verdict else "  [ORACLE MISMATCH]"
             lines.append(f"({idx}) {left}, {right}  [{witness_str}]{suffix}")
-        for diag in census.diagnostics:
-            lines.append(f"diagnostic: {diag}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {format!r}")
 
 
 def parse_census_json(text: str) -> PairCensus:
-    """Inverse of emit_census(..., 'json'): rebuild the census object."""
+    """Inverse of emit_census(..., 'json'): rebuild the census object.
+    A document whose "pair_count" or "counts_by_size" disagrees with its
+    distinct "pairs" is refused."""
     doc = json.loads(text)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
     n = doc["n"]
-    pairs = []
     witnesses = {}
     confirmed = {}
-    any_confirmed = False
     for row in doc["pairs"]:
-        left = ConnectionSet(n, tuple(row["left"]))
-        right = ConnectionSet(n, tuple(row["right"]))
-        pair = (left, right)
-        pairs.append(pair)
+        pair = (ConnectionSet(n, tuple(row["left"])), ConnectionSet(n, tuple(row["right"])))
         witnesses[pair] = tuple((m, t) for m, t in row["witnesses"])
         if row.get("oracle_confirmed") is not None:
             confirmed[pair] = row["oracle_confirmed"]
-            any_confirmed = True
-    return PairCensus(
+    census = PairCensus(
         n=n,
         size_min=doc["size_min"],
         size_max=doc["size_max"],
-        pairs=tuple(pairs),
         witnesses=witnesses,
-        counts={int(k): v for k, v in doc["counts_by_size"].items()},
-        oracle_confirmed=confirmed if any_confirmed else None,
-        diagnostics=tuple(doc.get("diagnostics", ())),
+        oracle_confirmed=confirmed or None,
     )
+    if doc["pair_count"] != len(witnesses):
+        raise ValueError(f"pair_count {doc['pair_count']!r} but {len(witnesses)} distinct pairs")
+    counts = {str(k): v for k, v in census.counts.items()}
+    if doc["counts_by_size"] != counts:
+        raise ValueError(f"counts_by_size {doc['counts_by_size']!r} but the pairs give {counts}")
+    return census
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ isomorphism.
 One test decides circulance: the circulant shifts of m are the multiples
 of q = d / gcd(d, m^2), d the least period of the jumps of +-R that m
 does not divide (`_least_period`, criterion and proof in its docstring),
-and `_rotate_classes` builds every image.  The census in `classify`
-computes q inline on masks; `theta_image` and `classify.classify_pair`
-read it from one plan per (set, modulus), `_probe_plan`, and
+and `_rotate_classes` builds every image.  One builder, `_shift_plan`,
+turns the symmetric mask of +-R into the plan of a modulus (fixed bits,
+class parts and q): the census in `classify` calls it on masks, and
+`theta_image` and `classify.classify_pair` read it through `_probe_plan`,
+which keeps the plan of the last (set, modulus);
 `classify.certify_isomorphism` reads the plan through `classify_pair`.
 Only the census skips the shifts that are unit multipliers
 (`_nonunit_steps`).  `tests/suites.py` checks all of
@@ -147,18 +149,12 @@ def _nonunit_steps(n: int, m: int) -> tuple[int, ...]:
     return tuple(n // p for p in prime_divisors(n // gcd(n, m * m)))
 
 
-def _class_parts(m: int, mult: int, moving: int) -> list[tuple[int, int]]:
-    """The nonempty residue classes i = 1..m-1 of the mask `moving`, as
-    (i, bits of class i); `mult` is the mask of the multiples of m."""
-    return [(i, part) for i in range(1, m) if (part := moving & mult << i)]
-
-
 def _rotate_classes(n: int, shift: int, image: int, parts) -> int:
     """The image builder: `image` ORed with every (i, part) of `parts`
     rotated by i*shift (mod n).
 
     With shift = t*m, `image` the bits of +-R divisible by m and `parts`
-    the other residue classes of +-R (`_class_parts`), this is the mask
+    the other residue classes of +-R (`_shift_plan`), this is the mask
     of theta(+-R), theta(s) = s + (s mod m)*t*m; when the probe (m, t) is
     circulant (criterion in `_least_period`) the image graph is C_n of it.
 
@@ -176,36 +172,37 @@ def _rotate_classes(n: int, shift: int, image: int, parts) -> int:
     return image
 
 
-@lru_cache(maxsize=1)
-def _probe_plan(c: ConnectionSet, m: int) -> tuple[int, int, tuple[tuple[int, int], ...], int]:
-    """What every probe (m, t) of c shares, for m | n: (a, fixed, parts, q).
+def _shift_plan(n: int, primes, m: int, mult: int, a: int) -> tuple[int, list, int]:
+    """What every probe (m, t) of a jump set shares, for m | n: (fixed,
+    parts, q), from the symmetric mask a of +-R (bit s for each s in +-R).
 
-    a is the symmetric mask of +-R (bit s for each s in +-R), fixed its
-    bits divisible by m, and parts the other residue classes as
-    (i, bits of class i), the class parts of `_class_parts` read off the
-    jumps, so building them costs O(|R|) mask operations whatever m is.
+    `primes` are the prime divisors of n and `mult` the n-bit mask of the
+    multiples of m.  fixed holds the bits of a divisible by m, and parts
+    the other nonempty residue classes i = 1..m-1 as (i, bits of class i).
     q = d / gcd(d, m^2), with d the least period of the moving jumps
     A = a ^ fixed (d = 1 when A is empty): the probe (m, t) is circulant
     iff q divides t (`_least_period`), and its image is then
     `_rotate_classes(n, t*m, fixed, parts)`.  fixed is empty iff m divides
-    no jump, as m | s iff m | n - s.  Only the last plan is kept: a scan
-    over the t of one modulus builds it once, and a single probe builds
-    one plan and nothing per t.
+    no jump, as m | s iff m | n - s.
+    """
+    fixed = a & mult
+    moving = a ^ fixed
+    d = _least_period(n, primes, moving)
+    parts = [(i, part) for i in range(1, m) if (part := moving & mult << i)]
+    return fixed, parts, d // gcd(d, m * m)
+
+
+@lru_cache(maxsize=1)
+def _probe_plan(c: ConnectionSet, m: int) -> tuple[int, int, list, int]:
+    """(a, fixed, parts, q) for the probes (m, t) of c, m | n: a is the
+    symmetric mask of +-R and the rest its `_shift_plan`.  Only the last
+    plan is kept: a scan over the t of one modulus builds it once, and a
+    single probe builds one plan and nothing per t.  Callers only read
+    the shared parts list.
     """
     n = c.n
-    a = fixed = 0
-    parts: dict[int, int] = {}
-    for r in c.jumps:
-        for s in (r, n - r):
-            bit = 1 << s
-            a |= bit
-            if s % m:
-                parts[s % m] = parts.get(s % m, 0) | bit
-            else:
-                fixed |= bit
-    moving = a ^ fixed
-    d = _least_period(n, prime_divisors(n), moving) if moving else 1
-    return a, fixed, tuple(parts.items()), d // gcd(d, m * m)
+    a = sum(1 << r | 1 << (n - r) for r in c.jumps)  # distinct jumps, disjoint bits
+    return (a, *_shift_plan(n, prime_divisors(n), m, ((1 << n) - 1) // ((1 << m) - 1), a))
 
 
 def theta_image(c: ConnectionSet, m: int, t: int) -> ThetaResult:

@@ -30,12 +30,11 @@ from circiso.classify import (
 )
 from circiso.graphs import WALK_PREFIX, is_isomorphism, refinement_rounds, walk_counts
 from circiso.theta import (
-    _class_parts,
     _closed_under,
     _least_period,
     _nonunit_steps,
-    _probe_plan,
     _rotate_classes,
+    _shift_plan,
     jump_shortcut,
     theta_image,
 )
@@ -262,11 +261,12 @@ def least_period_decides_shifts(max_n: int = 20) -> list[str]:
     """For every n <= max_n, every jump set R and every m | n with
     1 < m < n, with A = {s in +-R : m does not divide s}: `_least_period`
     returns the least d >= 1 with A + d = A, found here by trying every d;
-    the t in [1, n/m - 1] that are multiples of q = d / gcd(d, m^2) are
+    the plan of `_shift_plan` holds the bits of +-R divisible by m and
+    q = d / gcd(d, m^2); the t in [1, n/m - 1] that are multiples of q are
     exactly those with a circulant `edge_level_image`; and at each of them
-    the census's image (`_rotate_classes` over `_class_parts`) equals the
-    mask of the elementwise image {s + (s mod m)*t*m : s in +-R},
-    computed here, whose jumps are those of the edge-level image.  Also,
+    the image (`_rotate_classes` over the plan) equals the mask of the
+    elementwise image {s + (s mod m)*t*m : s in +-R}, computed here,
+    whose jumps are those of the edge-level image.  Also,
     when the image at t = q lies in the `brute_unit_orbit` of R, the
     images at every multiple of q do too (the census then stops scanning
     that m)."""
@@ -290,15 +290,17 @@ def least_period_decides_shifts(max_n: int = 20) -> list[str]:
                     if _least_period(n, primes, moving) != period:
                         bad.append(f"least period differs at {where}")
                     q = period // gcd(period, m * m)
+                    fixed, parts, plan_q = _shift_plan(n, primes, m, bits_mask(range(0, n, m)), a)
+                    if (fixed, plan_q) != (a ^ moving, q):
+                        bad.append(f"plan differs at {where}")
                     edges = {t: edge_level_image(n, m, t, combo) for t in range(1, n // m)}
                     circulant = {t for t, image in edges.items() if image is not None}
                     if circulant != {t for t in edges if t % q == 0}:
                         bad.append(f"circulant shifts are not the multiples of {q} at {where}")
-                    parts = _class_parts(m, bits_mask(range(0, n, m)), moving)
                     in_orbit = []
                     for t in range(q, n // m, q):
                         want = bits_mask((s + (s % m) * t * m) % n for s in sym)
-                        census = _rotate_classes(n, t * m, a ^ moving, parts)
+                        census = _rotate_classes(n, t * m, fixed, parts)
                         jumps = tuple(s for s in range(1, n // 2 + 1) if want >> s & 1)
                         if census != want or jumps != edges[t]:
                             bad.append(f"images differ at {where}, t={t}")
@@ -751,8 +753,7 @@ def _probe_outcome(c: ConnectionSet, m: int, t: int) -> tuple:
 def classify_pair_matches_reference(max_n: int = 20) -> list[str]:
     """For every n <= max_n, every jump set R and every admissible probe
     (m > 1 dividing gcd(n, r) for a jump r, 1 <= t <= n/m - 1): the kind,
-    image and Type-1 unit of `classify_pair` equal `reference_probe`, and
-    the class parts of `_probe_plan` are those of `theta._class_parts`.
+    image and Type-1 unit of `classify_pair` equal `reference_probe`.
     `probe_records(R, allow_small=True)` lists, in (m, t) order, exactly
     the reference outcomes that are not "not-circulant".  Then an
     interleaved sequence (R1, m1) -> (R2, m2) -> (R1, m1), with the same
@@ -776,10 +777,6 @@ def classify_pair_matches_reference(max_n: int = 20) -> list[str]:
                             bad.append(f"classify_pair differs at {where}, t={t}")
                         if expected[0] != "not-circulant":
                             circulant.append((m, t, *expected))
-                    a, fixed, parts, _ = _probe_plan(c, m)
-                    mult = bits_mask(range(0, n, m))
-                    if dict(parts) != dict(_class_parts(m, mult, a ^ fixed)) or fixed != a & mult:
-                        bad.append(f"plan class parts differ at {where}")
                 records = [
                     (rec.m, rec.t, rec.kind, rec.image and rec.image.jumps, rec.unit)
                     for rec in probe_records(c, allow_small=True)

@@ -128,7 +128,6 @@ def test_census_16_is_the_reference_list():
     census = enumerate_type2(16, 3, 8)
     assert {(l.jumps, r.jumps) for l, r in census.pairs} == set(PAIRS_16)
     assert census.counts == {3: 2, 4: 4, 5: 2}
-    assert census.diagnostics == ()
 
 
 def test_census_24_contains_reference_pairs_plus_block_augmented():
@@ -279,6 +278,13 @@ def test_type2_census_is_empty_at_every_ci_order():
         assert enumerate_type2(n, 1, n // 2, allow_small=True).pairs == (), n
     for n in (16, 24, 27, 32, 40):
         assert enumerate_type2(n, 1, n // 2, allow_small=True).pairs, n
+
+
+def test_type2_pairs_exist_at_exactly_these_orders_up_to_54():
+    # Every size at every order: none at the cube-free non-CI orders 25,
+    # 36, 45 and 50, nor at any CI order.
+    have = [n for n in range(6, 55) if enumerate_type2(n, 1, n // 2, allow_small=True).pairs]
+    assert have == [16, 24, 27, 32, 40, 48, 54]
 
 
 def test_census_preconditions():

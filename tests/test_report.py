@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 
@@ -65,6 +64,23 @@ def test_parse_rejects_unknown_schema(census16):
         parse_census_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "key, tamper",
+    [
+        ("pair_count", lambda doc: doc.update(pair_count=7)),
+        ("counts_by_size", lambda doc: doc.update(counts_by_size={"3": 2, "4": 4, "5": 1})),
+        ("counts_by_size", lambda doc: doc.update(counts_by_size={})),
+        ("pair_count", lambda doc: doc["pairs"].__setitem__(1, doc["pairs"][0])),
+    ],
+    ids=["pair-count", "counts-by-size", "counts-by-size-empty", "repeated-pair"],
+)
+def test_parse_rejects_counts_that_disagree_with_the_pairs(census16, key, tamper):
+    doc = json.loads(emit_census(census16, format="json"))
+    tamper(doc)
+    with pytest.raises(ValueError, match=key):
+        parse_census_json(json.dumps(doc))
+
+
 def test_csv_shape(census16):
     text = emit_census(census16, format="csv")
     rows = list(csv.reader(io.StringIO(text)))
@@ -110,14 +126,14 @@ def test_direct_writer_matches_json_dumps_at_every_order_up_to_40():
 def test_direct_writer_matches_json_dumps_on_flags_timestamps_diagnostics_and_extra_fields():
     confirmed = confirm_with_oracle(enumerate_type2(16, 3, 3))
     confirmed.oracle_confirmed[confirmed.pairs[0]] = False  # both flags appear
-    diagnostics = ('quote " and backslash \\ in a note', "non-ASCII: é, ≅, 🙂", "")
     docs = [
         census_document(confirmed, canonical=True),
         census_document(enumerate_type2(24)),  # generated_at: one dict on both sides
         census_document(enumerate_type2(9, 3, 4), canonical=True),
-        census_document(dataclasses.replace(confirmed, diagnostics=diagnostics)),
+        census_document(confirmed),
         census_document(enumerate_type2(16, 3, 3), canonical=True),
     ]
+    docs[3]["diagnostics"] = ['quote " and backslash \\ in a note', "non-ASCII: é, ≅, 🙂", ""]
     # The writer reads the layout off the values, so a field the schema
     # does not name comes out as json.dumps writes it.
     docs[-1]["pairs"][0]["note"] = {"b": [1.5, True, [], {}], "a": (2, "x"), "c": {}}
