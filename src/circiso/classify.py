@@ -203,16 +203,24 @@ def require_three_jumps(c: ConnectionSet, allow_small: bool = False) -> None:
 
 
 def probe_records(c: ConnectionSet, allow_small: bool = False) -> list[ClassificationRecord]:
-    """Records of every circulant probe (m, t) of c, in (m, t) order: for
-    each admissible m, the t that are multiples of the q of its plan
-    (`theta._probe_plan`).  `classify_pair` answers not-circulant exactly
-    when q does not divide t, so only those probes are left out."""
+    """Records of every circulant probe (m, t) of c, in (m, t) order: the
+    `circulant_records` of each admissible m."""
     require_three_jumps(c, allow_small)
     records = []
     for m in admissible_m(c):
-        q = _probe_plan(c, m)[3]
-        records += [classify_pair(c, m, t) for t in range(q, c.n // m, q)]
+        records += circulant_records(c, m)
     return records
+
+
+def circulant_records(c: ConnectionSet, m: int) -> list[ClassificationRecord]:
+    """The `classify_pair` records of the circulant probes (m, t) of c,
+    ascending in t, for an admissible m (one of `admissible_m(c)`): the
+    multiples t = q, 2q, ... < n/m of the q of the plan of (c, m)
+    (`theta._probe_plan`).  `classify_pair` answers not-circulant
+    exactly when q does not divide t, so only those probes are left
+    out."""
+    q = _probe_plan(c, m)[3]
+    return [classify_pair(c, m, t) for t in range(q, c.n // m, q)]
 
 
 def type2_partners(

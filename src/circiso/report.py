@@ -12,11 +12,10 @@ import csv
 import io
 import json
 from json.encoder import encode_basestring_ascii as _string
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .classify import PairCensus, classify_pair, require_admissible_m
+from .classify import PairCensus, circulant_records, require_admissible_m
 from .graphs import ConnectionSet
 
 SCHEMA_VERSION = 1
@@ -138,23 +137,33 @@ def emit_census(census: PairCensus, format: str = "json", canonical: bool = Fals
 
 def parse_census_json(text: str) -> PairCensus:
     """Inverse of emit_census(..., 'json'): rebuild the census object.
-    A document whose "pair_count" or "counts_by_size" disagrees with its
-    distinct "pairs" is refused."""
+    A document is refused when a pair is not written left before right
+    (jump lists in ascending lexicographic order, as the census orders
+    them), when a jump set's size lies outside [size_min, size_max], or
+    when "pair_count" or "counts_by_size" disagrees with its distinct
+    "pairs".  The witnesses are taken as written."""
     doc = json.loads(text)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    n = doc["n"]
+    n, size_min, size_max = doc["n"], doc["size_min"], doc["size_max"]
     witnesses = {}
     confirmed = {}
     for row in doc["pairs"]:
-        pair = (ConnectionSet(n, tuple(row["left"])), ConnectionSet(n, tuple(row["right"])))
+        left, right = row["left"], row["right"]
+        if not left < right:
+            raise ValueError(f"pair {left} / {right} is not in left-before-right order")
+        if not size_min <= len(left) <= size_max or not size_min <= len(right) <= size_max:
+            raise ValueError(
+                f"pair {left} / {right} has a jump set size outside [{size_min}, {size_max}]"
+            )
+        pair = (ConnectionSet(n, tuple(left)), ConnectionSet(n, tuple(right)))
         witnesses[pair] = tuple((m, t) for m, t in row["witnesses"])
         if row.get("oracle_confirmed") is not None:
             confirmed[pair] = row["oracle_confirmed"]
     census = PairCensus(
         n=n,
-        size_min=doc["size_min"],
-        size_max=doc["size_max"],
+        size_min=size_min,
+        size_max=size_max,
         witnesses=witnesses,
         oracle_confirmed=confirmed or None,
     )
@@ -166,8 +175,7 @@ def parse_census_json(text: str) -> PairCensus:
     return census
 
 
-@dataclass(frozen=True)
-class ThetaTableRow:
+class ThetaTableRow(NamedTuple):
     """One shift table row: the elementwise images and the verdict."""
 
     t: int
@@ -180,21 +188,24 @@ def theta_table_rows(c: ConnectionSet, m: int) -> list[ThetaTableRow]:
     """Elementwise images of the symmetric jump set for t = 1 .. n/m - 1.
 
     Each cell is s + (s mod m)*t*m (mod n), the shift map applied to one
-    s of +-R.  Each row's verdict and Type-1 unit come from
-    `classify_pair` (its 'not-circulant' reads 'not' here), so an m that
-    divides gcd(n, r) for no jump r is refused with `classify_pair`'s
-    message.
+    s of +-R; the cells are built one column per s and zipped into rows.
+    The verdict and Type-1 unit of each row t = q, 2q, ... come from the
+    `classify_pair` record that `classify.circulant_records` gives for
+    it.  Every other row is 'not': the image is circulant iff q divides t
+    (`theta._least_period`).  An m that divides gcd(n, r) for no jump r
+    is refused with `require_admissible_m`'s message.
     """
     require_admissible_m(c, m)
     n = c.n
+    verdicts = ["not"] * (n // m - 1)
+    units = [None] * (n // m - 1)
+    for rec in circulant_records(c, m):
+        verdicts[rec.t - 1] = rec.kind
+        units[rec.t - 1] = rec.unit
+    ts = range(1, n // m)
     steps = [(s, s % m * m) for s in c.symmetric_jumps()]
-    rows = []
-    for t in range(1, n // m):
-        rec = classify_pair(c, m, t)
-        verdict = "not" if rec.kind == "not-circulant" else rec.kind
-        images = tuple([(s + k * t) % n for s, k in steps])
-        rows.append(ThetaTableRow(t=t, images=images, verdict=verdict, unit=rec.unit))
-    return rows
+    columns = [[(s + k * t) % n for t in ts] for s, k in steps]
+    return list(map(ThetaTableRow, ts, zip(*columns), verdicts, units))
 
 
 def render_theta_table(c: ConnectionSet, m: int) -> str:

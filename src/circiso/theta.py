@@ -13,9 +13,12 @@ does not divide (`_least_period`, criterion and proof in its docstring),
 and `_rotate_classes` builds every image.  One builder, `_shift_plan`,
 turns the symmetric mask of +-R into the plan of a modulus (fixed bits,
 class parts and q): the census in `classify` calls it on masks, and
-`theta_image` and `classify.classify_pair` read it through `_probe_plan`,
-which keeps the plan of the last (set, modulus);
-`classify.certify_isomorphism` reads the plan through `classify_pair`.
+`theta_image`, `classify.classify_pair` and `classify.circulant_records`
+read it through `_probe_plan`, which keeps the plan of the last (set,
+modulus).  `circulant_records` takes q from the plan and classifies only
+the circulant shifts t = q, 2q, ... of one modulus; `probe_records` (and
+through it `classify.certify_isomorphism` and the `classify` command) and
+the shift tables of `report.theta_table_rows` are built from it.
 Only the census skips the shifts that are unit multipliers
 (`_nonunit_steps`).  `tests/suites.py` checks all of
 it against the package-free edge-level definition (`edge_level_image`).

@@ -24,11 +24,14 @@ from circiso.classify import (
     _orbit_minima,
     _split_lazily,
     _step_candidates,
+    admissible_m,
     certify_isomorphism,
+    circulant_records,
     classify_pair,
     probe_records,
 )
 from circiso.graphs import WALK_PREFIX, is_isomorphism, refinement_rounds, walk_counts
+from circiso.report import theta_table_rows
 from circiso.theta import (
     _closed_under,
     _least_period,
@@ -794,21 +797,76 @@ def classify_pair_matches_reference(max_n: int = 20) -> list[str]:
     return bad
 
 
-def adam_orbit_matches_brute(max_n: int = 24, max_size: int = 4) -> list[str]:
-    """For every n <= max_n (odd and even, so sets with the jump n/2 are
-    covered) and every jump set of size <= max_size: `adam_orbit` members
-    are the sorted `brute_unit_orbit`, and each witness is the smallest
-    unit x <= n/2 producing the member (`brute_orbit_witness`)."""
+def theta_table_matches_probes(max_n: int = 20) -> list[str]:
+    """For every n <= max_n, every jump set R and every admissible m, each
+    row of `theta_table_rows` equals its per-t definition: t, the cells
+    `ThetaMap(n, m, t).apply(s)` for s in +-R, and the kind (with
+    "not-circulant" read as "not") and Type-1 unit of `classify_pair(c,
+    m, t)`, for t = 1 .. n/m - 1 in order.  `probe_records` equals the
+    concatenation of `circulant_records` over `admissible_m`, and
+    `theta_table_rows` refuses m = 0, m = 1 and every other m dividing n."""
     bad = []
     for n in range(2, max_n + 1):
-        for size in range(1, min(max_size, n // 2) + 1):
+        for size in range(1, n // 2 + 1):
             for combo in itertools.combinations(range(1, n // 2 + 1), size):
-                orbit = adam_orbit(ConnectionSet(n, combo))
-                if [m.jumps for m in orbit.members] != sorted(brute_unit_orbit(n, combo)):
-                    bad.append(f"orbit members differ at n={n}, R={combo}")
-                witness = {m.jumps: x for m, x in orbit.witness.items()}
-                if witness != brute_orbit_witness(n, combo):
-                    bad.append(f"orbit witnesses differ at n={n}, R={combo}")
+                c = ConnectionSet(n, combo)
+                sym = c.symmetric_jumps()
+                moduli = admissible_m(c)
+                for m in moduli:
+                    expected = []
+                    for t in range(1, n // m):
+                        rec = classify_pair(c, m, t)
+                        verdict = "not" if rec.kind == "not-circulant" else rec.kind
+                        images = tuple(ThetaMap(n, m, t).apply(s) for s in sym)
+                        expected.append((t, images, verdict, rec.unit))
+                    rows = [(r.t, r.images, r.verdict, r.unit) for r in theta_table_rows(c, m)]
+                    if rows != expected:
+                        bad.append(f"theta_table_rows differ at n={n}, R={combo}, m={m}")
+                concatenated = [rec for m in moduli for rec in circulant_records(c, m)]
+                if probe_records(c, allow_small=True) != concatenated:
+                    bad.append(f"probe_records is not the per-modulus records at n={n}, R={combo}")
+                refused = [m for m in range(2, n + 1) if n % m == 0 and m not in moduli]
+                for m in (0, 1, *refused):
+                    try:
+                        theta_table_rows(c, m)
+                    except ValueError:
+                        continue
+                    bad.append(f"theta_table_rows accepts m={m} at n={n}, R={combo}")
+    return bad
+
+
+# Large-order sets whose multiplier orbits are far smaller than the
+# phi(n)/2 units scanned: most units repeat a member already found.
+LARGE_ORDER_SETS = (
+    (343, (7, 8, 41, 57, 90, 106, 139, 155)),
+    (675, (1, 3, 224, 226)),
+    (592, (111, 148, 185, 222, 296)),
+    (250, (1, 5, 49, 51, 99, 101)),
+)
+
+
+def adam_orbit_matches_brute(
+    max_n: int = 24, max_size: int = 4, extra=LARGE_ORDER_SETS
+) -> list[str]:
+    """For every n <= max_n (odd and even, so sets with the jump n/2 are
+    covered) and every jump set of size <= max_size, and for each fixed
+    (n, jumps) of `extra`: `adam_orbit` members are the sorted
+    `brute_unit_orbit`, and each witness is the smallest unit x <= n/2
+    producing the member (`brute_orbit_witness`)."""
+    cells = [
+        (n, combo)
+        for n in range(2, max_n + 1)
+        for size in range(1, min(max_size, n // 2) + 1)
+        for combo in itertools.combinations(range(1, n // 2 + 1), size)
+    ]
+    bad = []
+    for n, combo in [*cells, *extra]:
+        orbit = adam_orbit(ConnectionSet(n, combo))
+        if [m.jumps for m in orbit.members] != sorted(brute_unit_orbit(n, combo)):
+            bad.append(f"orbit members differ at n={n}, R={combo}")
+        witness = {m.jumps: x for m, x in orbit.witness.items()}
+        if witness != brute_orbit_witness(n, combo):
+            bad.append(f"orbit witnesses differ at n={n}, R={combo}")
     return bad
 
 

@@ -26,6 +26,7 @@ from suites import (
     shortcut_agrees_with_edges,
     step_candidates_match_edges,
     theta_group_law,
+    theta_table_matches_probes,
     unit_shifts_are_unit_multipliers,
     units_commute_with_theta,
     walk_counts_match_traces,
@@ -77,7 +78,12 @@ def test_classify_pair_matches_edge_level_reference_up_to_20():
     assert classify_pair_matches_reference(20) == []
 
 
+def test_theta_table_rows_match_per_probe_definition_up_to_20():
+    assert theta_table_matches_probes(20) == []
+
+
 def test_adam_orbit_matches_brute_force_up_to_24():
+    # and on the fixed large-order sets of suites.LARGE_ORDER_SETS
     assert adam_orbit_matches_brute(24, 4) == []
 
 

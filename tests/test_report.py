@@ -8,6 +8,7 @@ from circiso.classify import confirm_with_oracle, enumerate_type2
 from circiso.graphs import ConnectionSet
 from circiso.report import (
     CSV_HEADER,
+    ThetaTableRow,
     census_document,
     emit_census,
     parse_census_json,
@@ -75,6 +76,36 @@ def test_parse_rejects_unknown_schema(census16):
     ids=["pair-count", "counts-by-size", "counts-by-size-empty", "repeated-pair"],
 )
 def test_parse_rejects_counts_that_disagree_with_the_pairs(census16, key, tamper):
+    doc = json.loads(emit_census(census16, format="json"))
+    tamper(doc)
+    with pytest.raises(ValueError, match=key):
+        parse_census_json(json.dumps(doc))
+
+
+def _swap_first_pair(doc):
+    first = doc["pairs"][0]
+    first["left"], first["right"] = first["right"], first["left"]
+
+
+def _add_swapped_copy_of_first_pair(doc):
+    first = doc["pairs"][0]
+    doc["pairs"].append({**first, "left": first["right"], "right": first["left"]})
+    doc["pair_count"] += 1
+    doc["counts_by_size"][str(len(first["left"]))] += 1
+
+
+@pytest.mark.parametrize(
+    "key, tamper",
+    [
+        ("outside", lambda doc: doc.update(size_max=3)),
+        ("outside", lambda doc: doc.update(size_min=4)),
+        ("left-before-right", _swap_first_pair),
+        ("left-before-right", _add_swapped_copy_of_first_pair),
+    ],
+    ids=["size-max", "size-min", "right-before-left", "repeated-swap"],
+)
+def test_parse_rejects_rows_that_the_census_cannot_hold(census16, key, tamper):
+    # each tampered document keeps its counts consistent with its rows
     doc = json.loads(emit_census(census16, format="json"))
     tamper(doc)
     with pytest.raises(ValueError, match=key):
@@ -158,6 +189,14 @@ def test_table_rows_match_published_tables(jumps):
         assert row.images == images
         assert row.verdict == verdict
         assert row.unit == unit
+
+
+def test_table_rows_are_immutable_with_fixed_fields():
+    row = theta_table_rows(ConnectionSet(24, (1, 2, 3)), 2)[5]
+    assert row == ThetaTableRow(t=6, images=row.images, verdict="type1", unit=11)
+    assert ThetaTableRow._fields == ("t", "images", "verdict", "unit")
+    with pytest.raises(AttributeError):
+        row.verdict = "not"
 
 
 def test_render_theta_table_text():
