@@ -18,8 +18,9 @@ running every probe on every jump set.  Deduplication is over pairs of
 jump sets, not pairs of multiplier orbits: distinct set pairs spanning
 the same two orbits count separately.
 
-`certify_isomorphism` turns the two kinds of move into vertex maps, each
-checked edge by edge before it is returned; the CI census and the
+`certify_isomorphism` turns the two kinds of move, a residue shift (the
+identity among them) followed by a unit multiplier, into vertex maps,
+each checked edge by edge before it is returned; the CI census and the
 `verify` command ask the oracle only about pairs that no move joins.
 """
 
@@ -153,17 +154,12 @@ def certify_isomorphism(a: ConnectionSet, b: ConnectionSet) -> Optional[tuple[in
     """A vertex map phi (phi[v] the image of v) from C_n(a) onto C_n(b)
     that `graphs.is_isomorphism` has accepted, found by one move, or None.
 
-    Two kinds of move are tried, in this order:
-
-      a unit multiplier: a = x*b for a unit x, read off the witnesses of
-        the multiplier orbit of b (`adam_orbit`), and phi(v) = x^-1 * v;
-      a residue shift, then a unit: for the type2 records of a
-        (`probe_records`, in (m, t) order) whose image is x*b, a member of
-        that orbit, phi = x^-1 o theta_{m,t} (`theta.ThetaMap.apply`).
-        No other record can match once the first move has failed: a self
-        or type1 image, like that of every shift that is a unit multiplier
-        (lemma in `theta._nonunit_steps`), lies in the orbit of a; were it
-        in the orbit of b, a would be, and the first move would have answered.
+    The moves are residue shifts theta_{m,t} (`theta.ThetaMap.apply`),
+    in this order: the identity theta_{n,0}, whose image is a, then for
+    each m of `admissible_m(a)` the circulant shifts t = q, 2q, ... < n/m
+    of the plan of (a, m) (`theta._probe_plan`).  Each image is looked up
+    in the multiplier orbit of b (`adam_orbit`); on a hit x*b the map is
+    phi = x^-1 o theta_{m,t}.  Only the orbit of b is built.
 
     The theory only proposes a map: multiplying by x^-1 carries C_n(x*b)
     onto C_n(b), and theta_{m,t} carries C_n(a) onto the circulant of its
@@ -180,16 +176,15 @@ def certify_isomorphism(a: ConnectionSet, b: ConnectionSet) -> Optional[tuple[in
     if len(a.jumps) != len(b.jumps):
         return None
     witness = adam_orbit(b).witness
-    x = witness.get(a)
-    if x is not None:
-        inverse = pow(x, -1, n)
-        phi = tuple(inverse * v % n for v in range(n))
-        if is_isomorphism(a, b, phi):
-            return phi
-    for rec in probe_records(a, allow_small=True):
-        x = witness.get(rec.image) if rec.kind == "type2" else None
-        if x is not None:
-            inverse, theta = pow(x, -1, n), ThetaMap(n, rec.m, rec.t).apply
+    shifts = (
+        (_image_set(n, _rotate_classes(n, t * m, fixed, parts)), m, t)
+        for m in admissible_m(a)
+        for _, fixed, parts, q in (_probe_plan(a, m),)
+        for t in range(q, n // m, q)
+    )
+    for image, m, t in itertools.chain([(a, n, 0)], shifts):
+        if (x := witness.get(image)) is not None:
+            inverse, theta = pow(x, -1, n), ThetaMap(n, m, t).apply
             phi = tuple(inverse * theta(v) % n for v in range(n))
             if is_isomorphism(a, b, phi):
                 return phi
@@ -689,16 +684,12 @@ def ci_full_census(
     iso_partners: dict[ConnectionSet, list[ConnectionSet]] = {rep: [] for rep in reps}
     certified = oracle_calls = isomorphic_pairs = 0
     for bucket in buckets:
-        edges: dict = {}  # built only for the pairs the oracle decides
         for a, b in itertools.combinations(bucket, 2):
             if certify_isomorphism(a, b) is not None:
                 certified += 1
             else:
                 oracle_calls += 1
-                for rep in (a, b):
-                    if rep not in edges:
-                        edges[rep] = build_edges(rep)
-                if not are_isomorphic(edges[a], edges[b], cap=oracle_cap):
+                if not are_isomorphic(build_edges(a), build_edges(b), cap=oracle_cap):
                     continue
             isomorphic_pairs += 1
             iso_partners[a].append(b)

@@ -141,37 +141,42 @@ def parse_census_json(text: str) -> PairCensus:
     (jump lists in ascending lexicographic order, as the census orders
     them), when a jump set's size lies outside [size_min, size_max], or
     when "pair_count" or "counts_by_size" disagrees with its distinct
-    "pairs".  The witnesses are taken as written."""
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    n, size_min, size_max = doc["n"], doc["size_min"], doc["size_max"]
-    witnesses = {}
-    confirmed = {}
-    for row in doc["pairs"]:
-        left, right = row["left"], row["right"]
-        if not left < right:
-            raise ValueError(f"pair {left} / {right} is not in left-before-right order")
-        if not size_min <= len(left) <= size_max or not size_min <= len(right) <= size_max:
-            raise ValueError(
-                f"pair {left} / {right} has a jump set size outside [{size_min}, {size_max}]"
-            )
-        pair = (ConnectionSet(n, tuple(left)), ConnectionSet(n, tuple(right)))
-        witnesses[pair] = tuple((m, t) for m, t in row["witnesses"])
-        if row.get("oracle_confirmed") is not None:
-            confirmed[pair] = row["oracle_confirmed"]
-    census = PairCensus(
-        n=n,
-        size_min=size_min,
-        size_max=size_max,
-        witnesses=witnesses,
-        oracle_confirmed=confirmed or None,
-    )
-    if doc["pair_count"] != len(witnesses):
-        raise ValueError(f"pair_count {doc['pair_count']!r} but {len(witnesses)} distinct pairs")
-    counts = {str(k): v for k, v in census.counts.items()}
-    if doc["counts_by_size"] != counts:
-        raise ValueError(f"counts_by_size {doc['counts_by_size']!r} but the pairs give {counts}")
+    "pairs".  A document whose fields are missing or of the wrong JSON
+    type is refused with a ValueError too.  The witnesses are taken as
+    written."""
+    try:
+        doc = json.loads(text)
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
+        n, size_min, size_max = doc["n"], doc["size_min"], doc["size_max"]
+        witnesses = {}
+        confirmed = {}
+        for row in doc["pairs"]:
+            left, right = row["left"], row["right"]
+            if not left < right:
+                raise ValueError(f"pair {left} / {right} is not in left-before-right order")
+            if not size_min <= len(left) <= size_max or not size_min <= len(right) <= size_max:
+                raise ValueError(
+                    f"pair {left} / {right} has a jump set size outside [{size_min}, {size_max}]"
+                )
+            pair = (ConnectionSet(n, tuple(left)), ConnectionSet(n, tuple(right)))
+            witnesses[pair] = tuple((m, t) for m, t in row["witnesses"])
+            if row.get("oracle_confirmed") is not None:
+                confirmed[pair] = row["oracle_confirmed"]
+        census = PairCensus(
+            n=n,
+            size_min=size_min,
+            size_max=size_max,
+            witnesses=witnesses,
+            oracle_confirmed=confirmed or None,
+        )
+        if doc["pair_count"] != len(witnesses):
+            raise ValueError(f"pair_count {doc['pair_count']} but {len(witnesses)} distinct pairs")
+        counts = {str(k): v for k, v in census.counts.items()}
+        if doc["counts_by_size"] != counts:
+            raise ValueError(f"counts_by_size {doc['counts_by_size']} but the pairs give {counts}")
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed census document: {type(exc).__name__}: {exc}") from exc
     return census
 
 

@@ -17,8 +17,10 @@ class parts and q): the census in `classify` calls it on masks, and
 read it through `_probe_plan`, which keeps the plan of the last (set,
 modulus).  `circulant_records` takes q from the plan and classifies only
 the circulant shifts t = q, 2q, ... of one modulus; `probe_records` (and
-through it `classify.certify_isomorphism` and the `classify` command) and
-the shift tables of `report.theta_table_rows` are built from it.
+through it the `classify` command) and the shift tables of
+`report.theta_table_rows` are built from it.  `classify.certify_isomorphism`
+builds the images of the same shifts from the plan and looks them up in
+the multiplier orbit of its target, without classifying them.
 Only the census skips the shifts that are unit multipliers
 (`_nonunit_steps`).  `tests/suites.py` checks all of
 it against the package-free edge-level definition (`edge_level_image`).

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -9,7 +10,9 @@ from math import comb, gcd
 
 import pytest
 
+import circiso.adam as adam_mod
 import circiso.classify as classify_mod
+from circiso import cli
 from circiso.adam import adam_orbit
 from circiso.classify import (
     admissible_m,
@@ -434,6 +437,37 @@ def test_ci_full_census_oracle_confirms_only_isomorphic_pairs(monkeypatch):
         ci_full_census(n, size)
     assert decided == [] and len(certified) == 16
     assert all(vertex_map_is_isomorphism(a.n, a.jumps, b.jumps, phi) for a, b, phi in certified)
+
+
+def test_certification_builds_only_the_orbit_of_the_target(monkeypatch, capsys):
+    # builds counted through a fresh one-entry memo over the unmemoised
+    # builder, so memo hits do not count; the parent built the orbit of the
+    # source too, through classify_pair: 2, 32 and 2 builds
+    builds = []
+
+    def build(c):
+        builds.append(c)
+        return adam_orbit.__wrapped__(c)
+
+    counted = functools.lru_cache(maxsize=1)(build)
+    monkeypatch.setattr(adam_mod, "adam_orbit", counted)
+    monkeypatch.setattr(classify_mod, "adam_orbit", counted)
+
+    def refuse(*args):
+        raise AssertionError("certify_isomorphism classified a probe")
+
+    monkeypatch.setattr(classify_mod, "classify_pair", refuse)
+    left, right = ConnectionSet(16, (1, 2, 7)), ConnectionSet(16, (2, 3, 5))
+    assert certify_isomorphism(left, right) is not None
+    assert builds == [right]
+    builds.clear()
+    for n, size in CI_CENSUS_GRID:
+        ci_full_census(n, size)
+    assert len(builds) == 16
+    builds.clear()
+    assert cli.main(["verify", "--n", "16", "--left", "1,2,7", "--right", "2,3,5"]) == 0
+    assert "Type-2 candidate" in capsys.readouterr().out
+    assert builds == [right]
 
 
 C25_LEFT = ConnectionSet(25, (1, 4, 5, 6, 9, 11))

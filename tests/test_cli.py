@@ -372,3 +372,20 @@ def test_per_set_commands_print_pinned_bytes(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_STDOUT_SHA256[argv]
+
+
+def test_every_large_order_query_gives_its_golden_output(capsys):
+    # the whole pool of the benchmark's large_order_queries workload, of
+    # which one seeded pass draws 102 commands; the 97 `verify` commands
+    # go through certify_isomorphism
+    goldens = os.path.join(os.path.dirname(__file__), "..", "perfbench", "goldens.json")
+    with open(goldens) as handle:
+        slots = json.load(handle)["large_order_queries"]["slots"]
+    commands = [command for slot in slots for command in slot["choices"]]
+    mismatched = []
+    for command in commands:
+        code, out, _ = run_cli(capsys, *command["argv"])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if (code, digest) != (command["code"], command["stdout_sha256"]):
+            mismatched.append(command["argv"])
+    assert len(commands) == 585 and mismatched == []

@@ -112,6 +112,52 @@ def test_parse_rejects_rows_that_the_census_cannot_hold(census16, key, tamper):
         parse_census_json(json.dumps(doc))
 
 
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _first_row_without_witnesses(doc):
+    del doc["pairs"][0]["witnesses"]
+    return doc
+
+
+def _first_row_with_int_left(doc):
+    doc["pairs"][0]["left"] = 3
+    return doc
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        _without("n"),
+        _without("pairs"),
+        _without("counts_by_size"),
+        _first_row_without_witnesses,
+        lambda doc: {**doc, "pairs": 5},
+        _first_row_with_int_left,
+        lambda doc: {**doc, "n": "16"},
+        lambda doc: {**doc, "size_min": "3"},
+        lambda doc: [doc],
+    ],
+    ids=[
+        "no-n",
+        "no-pairs",
+        "no-counts-by-size",
+        "row-without-witnesses",
+        "pairs-not-a-list",
+        "left-not-a-list",
+        "string-n",
+        "string-size-min",
+        "top-level-list",
+    ],
+)
+def test_parse_refuses_malformed_documents_with_value_error(census16, tamper):
+    # a KeyError, TypeError or AttributeError at the parent
+    doc = tamper(json.loads(emit_census(census16, format="json")))
+    with pytest.raises(ValueError, match="malformed census document"):
+        parse_census_json(json.dumps(doc))
+
+
 def test_csv_shape(census16):
     text = emit_census(census16, format="csv")
     rows = list(csv.reader(io.StringIO(text)))
