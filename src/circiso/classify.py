@@ -16,7 +16,9 @@ orbit minimum (`_orbit_minima`), and carries every pair found to all unit
 multiples; the lemma in `enumerate_type2` proves this gives the pairs of
 running every probe on every jump set.  Deduplication is over pairs of
 jump sets, not pairs of multiplier orbits: distinct set pairs spanning
-the same two orbits count separately.
+the same two orbits count separately.  Complementing a jump set in
+{1..n//2} complements its graph, so both censuses compute only the sizes
+k <= n//2 - k and mirror the rest (duality lemma in `enumerate_type2`).
 
 `certify_isomorphism` turns the two kinds of move, a residue shift (the
 identity among them) followed by a unit multiplier, into vertex maps,
@@ -492,10 +494,15 @@ def enumerate_type2(
     moduli to probe (`_step_candidates`, whose docstring proves that no
     other set has a partner), and only one of them per multiplier orbit
     is probed, its minimum (`_orbit_minima`); every pair found is carried
-    to all unit multiples with the same witnesses.  Each jump-set size is
-    one task: a pool of min(jobs, number of sizes) worker processes probes
-    the sizes one at a time while this process generates the next ones,
-    and when that is 1 the sizes run in turn in this process.
+    to all unit multiples with the same witnesses.  Only the sizes
+    k <= h - k, h = n // 2, are probed: a size k > h - k in range is the
+    mirror of the size h - k, probed even when it lies below size_min
+    (size 0 has no pair), and its pairs are the complements of that
+    size's pairs with the same witnesses (duality lemma below): both
+    jump masks XOR-ed with (1 << h) - 1.  Each probed size is one task: a
+    pool of min(jobs, number of probed sizes) worker processes probes the
+    sizes one at a time while this process generates the next ones, and
+    when that is 1 the sizes run in turn in this process.
     Deterministic: pairs are sorted lexicographically and witnesses merged
     across both discovery directions, independent of job count.
 
@@ -519,6 +526,35 @@ def enumerate_type2(
     every probe of xR has the outcome of the same probe of R carried by
     x, and the census -- its pairs and their witness sets -- is the
     expansion by units of the pairs found from one set per orbit.
+
+    Duality lemma.  Let Rc = {1..h} minus R, of size h - |R|.  (R, S) is
+    a Type-2 pair with witness (m, t) iff (Rc, Sc) is, so complementing
+    both sides maps the pairs of size h - k onto those of size k and keeps
+    every witness set.  Proof, in two steps.
+    (a) +-Rc is Z_n minus ({0} u +-R), so C_n(Rc) is the complement of
+    C_n(R) in the complete graph.  A vertex bijection permutes the edges
+    of the complete graph, so one that carries C_n(R) onto C_n(S) carries
+    C_n(Rc) onto C_n(Sc).  theta_{m,t} is such a bijection, and so is a
+    unit x: x(+-Rc) is the complement of x(+-R), so xRc = (xR)c, and Sc
+    lies in the orbit of Rc iff S lies in the orbit of R.  The range of t
+    depends on n and m alone.
+    (b) Admissibility: m divides a jump of Rc too.  Suppose instead that
+    +-R holds every nonzero multiple of m and theta_{m,t}(R) is circulant.
+    Then A, the part of +-R that m does not divide, is closed under
+    +t*m^2 (criterion in `theta._least_period`), so under g =
+    gcd(t*m^2, n).  m divides g, so each class part A_i = {a in A :
+    a = i mod m} is a union of cosets of <g>.  Every prime of g divides
+    t*m, so 1 + t*m is prime to g and lifts to a unit x of Z_n with
+    x = 1 + t*m (mod g).  For a in A_i, x*a = a + i*t*m + t*m*(a - i) +
+    (x - 1 - t*m)*a, and the last two terms lie in <g>; so x*A_i lies in
+    A_i + i*t*m = theta(A_i), and fills it, x being injective.  The fixed
+    part of +-R is every nonzero multiple of m, which theta fixes and x
+    (prime to m) permutes, so theta(+-R) = x(+-R): the image is the unit
+    multiple xR, never a Type-2 partner.  So a Type-2 probe (m, t) of R
+    leaves out some nonzero multiple of m, whose reduction, still a
+    multiple of m, is a jump of Rc.  With (a), the probe (m, t) of Rc is
+    admissible and gives Sc outside the orbit of Rc; the converse is the
+    same statement for Rc, as (Rc)c = R.
     """
     if n < 4:
         raise ValueError(f"census needs n >= 4, got {n}")
@@ -531,9 +567,12 @@ def enumerate_type2(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
-    tables = _candidate_tables(n, _order_tables(n)[2], size_max)
-    tasks = ((n, _step_candidates(tables, k)) for k in range(size_min, size_max + 1))
-    workers = min(jobs, size_max - size_min + 1)
+    h = n // 2
+    # each size k > h - k is the mirror of the size h - k; size 0 has no pair
+    sizes = sorted({min(k, h - k) for k in range(size_min, size_max + 1)} - {0})
+    tables = _candidate_tables(n, _order_tables(n)[2], max(sizes, default=0))
+    tasks = ((n, _step_candidates(tables, k)) for k in sizes)
+    workers = min(jobs, len(sizes))
     if workers > 1:
         import multiprocessing
 
@@ -545,10 +584,15 @@ def enumerate_type2(
     # Both sides of a pair have its part's size, so parts share no pair.
     # Jump tuples sort in C, in the order of the ConnectionSets they name.
     rows = []
-    for part in found:
+    for k, part in zip(sizes, found):
+        flips = [0] if size_min <= k else []
+        if k < h - k <= size_max:
+            flips.append((1 << h) - 1)
         for masks, probes in part.items():
-            left, right = sorted(tuple(_mask_jumps(v)) for v in masks)
-            rows.append((left, right, tuple(sorted(probes))))
+            probes = tuple(sorted(probes))
+            for flip in flips:
+                left, right = sorted(tuple(_mask_jumps(v ^ flip)) for v in masks)
+                rows.append((left, right, probes))
     rows.sort()
     witnesses = {
         (ConnectionSet(n, left), ConnectionSet(n, right)): probes for left, right, probes in rows
@@ -617,8 +661,14 @@ def ci_full_census(
     isomorphic to it.  When a mapping of expected verdicts (jump tuple ->
     True for CI) is supplied, disagreements are reported on the verdict
     rows as anomalies -- never raised.  Orders below 2 and sizes outside
-    [1, n/2] are refused.  One DEBUG record on the `circiso.classify`
-    logger gives the orbit count, the orbits that took walk steps and
+    [1, n/2] are refused.  With h = n // 2, a size with 0 < h - size <
+    size is mirrored: the census runs at the size h - size, every orbit
+    member is complemented in {1..h}, the members are re-sorted, each
+    representative is the least complement, `isomorphic_to` is rebuilt
+    from the new representatives and the anomalies are found on the
+    complemented members.  One DEBUG record on the `circiso.classify`
+    logger gives the size mirrored from (None when the census is not
+    mirrored), the orbit count, the orbits that took walk steps and
     refinement rounds (final sizes included) and how many they took, the
     final bucket sizes, the pairs certified by a move, the oracle calls,
     the isomorphic pairs and the elapsed time.  The census never imports
@@ -644,6 +694,15 @@ def ci_full_census(
     "non-isomorphic" comes only from the proven invariants or the oracle,
     and the oracle never relies on the residue-shift theory.
 
+    The mirror gives the verdicts of the size asked for, by step (a) of
+    the duality lemma in `enumerate_type2`: complementing in {1..h} is a
+    bijection from the jump sets of size h - size onto those of size
+    `size`.  It carries unit orbits onto unit orbits (xRc = (xR)c), and a
+    vertex bijection is an isomorphism from C_n(R) onto C_n(S) iff it is
+    one from C_n(Rc) onto C_n(Sc), the complement graphs.  So two orbits
+    are isomorphic iff their complements are, and every verdict carries
+    over.  Step (b) is not needed: no residue-shift probe is involved.
+
     The first two stages only spare refinement rounds, which cost several
     times a walk step: at size 1 the component count tells every orbit
     apart, so no step is taken, and most orbits that share a component
@@ -667,11 +726,13 @@ def ci_full_census(
     if n > oracle_cap:
         raise ValueError(f"order {n} exceeds the oracle cap {oracle_cap}")
     start = perf_counter()
+    h = n // 2
+    source = h - size if 0 < h - size < size else size
     products = _order_tables(n)[0]
     # jump tuples sort in C; ConnectionSet order is (n, jumps) order, the same here
     orbit_jumps = sorted(
         sorted(tuple(_mask_jumps(w)) for w in set(images))
-        for _, images, _ in _orbit_minima(n, products, _masks_of_size(n // 2, size))
+        for _, images, _ in _orbit_minima(n, products, _masks_of_size(h, source))
     )
     orbits = [tuple(ConnectionSet(n, jumps) for jumps in members) for members in orbit_jumps]
     reps = [members[0] for members in orbits]
@@ -694,16 +755,26 @@ def ci_full_census(
             isomorphic_pairs += 1
             iso_partners[a].append(b)
             iso_partners[b].append(a)
+    if source < size:
+        everything, mirror = set(range(1, h + 1)), {}
+        for members in orbits:
+            jumps = sorted(tuple(sorted(everything.difference(c.jumps))) for c in members)
+            mirror[members[0]] = tuple(ConnectionSet(n, j) for j in jumps)
+        orbits = sorted(mirror.values())
+        reps = [members[0] for members in orbits]
+        iso_partners = {mirror[a][0]: [mirror[b][0] for b in bs] for a, bs in iso_partners.items()}
     logging = sys.modules.get("logging")  # only a program that imported it can enable DEBUG
     if logging is not None:
         logging.getLogger(__name__).debug(
-            "ci census n=%(n)d size=%(size)d: %(orbits)d orbits, %(walk_keys)d walk keys "
-            "(%(walk_steps)d steps), %(rooted_keys)d rooted keys (%(rounds)d rounds), "
-            "buckets %(buckets)s, %(certified)d certified pairs, %(oracle_calls)d oracle calls, "
+            "ci census n=%(n)d size=%(size)d mirrored_from=%(mirrored_from)s: "
+            "%(orbits)d orbits, %(walk_keys)d walk keys (%(walk_steps)d steps), "
+            "%(rooted_keys)d rooted keys (%(rounds)d rounds), buckets %(buckets)s, "
+            "%(certified)d certified pairs, %(oracle_calls)d oracle calls, "
             "%(isomorphic_pairs)d isomorphic pairs, %(elapsed_s).3f s",
             {
                 "n": n,
                 "size": size,
+                "mirrored_from": source if source < size else None,
                 "orbits": len(reps),
                 "walk_keys": sum(len(group) for group in by_components.values() if len(group) > 1),
                 "walk_steps": walk_steps,

@@ -142,13 +142,21 @@ def parse_census_json(text: str) -> PairCensus:
     them), when a jump set's size lies outside [size_min, size_max], or
     when "pair_count" or "counts_by_size" disagrees with its distinct
     "pairs".  A document whose fields are missing or of the wrong JSON
-    type is refused with a ValueError too.  The witnesses are taken as
-    written."""
+    type is refused with a ValueError too; "n", "size_min" and "size_max"
+    are checked before the rows: integers with n >= 4 and
+    1 <= size_min <= size_max <= n // 2, as `enumerate_type2` requires.
+    The witnesses are taken as written."""
     try:
         doc = json.loads(text)
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
         n, size_min, size_max = doc["n"], doc["size_min"], doc["size_max"]
+        integers = all(type(v) is int for v in (n, size_min, size_max))
+        if not (integers and n >= 4 and 1 <= size_min <= size_max <= n // 2):
+            raise ValueError(
+                f"malformed census document: n={n!r}, size_min={size_min!r}, "
+                f"size_max={size_max!r} is not the range of a census"
+            )
         witnesses = {}
         confirmed = {}
         for row in doc["pairs"]:

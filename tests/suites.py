@@ -26,6 +26,7 @@ from circiso.classify import (
     _step_candidates,
     admissible_m,
     certify_isomorphism,
+    ci_full_census,
     circulant_records,
     classify_pair,
     probe_records,
@@ -932,6 +933,91 @@ def certificates_join_type2_pairs(cells=((27, 3, 4), (32, 3, 4))) -> tuple[list[
                     checked += 1
                     if phi is None or not vertex_map_is_isomorphism(n, left, right, phi):
                         bad.append(f"no checked map from C_{n}{left} onto C_{n}{right}")
+    return bad, checked
+
+
+def complement_jumps(n: int, jumps) -> tuple[int, ...]:
+    """The jumps of {1..n/2} outside jumps: C_n of them is the complement
+    graph of C_n(jumps)."""
+    return tuple(r for r in range(1, n // 2 + 1) if r not in jumps)
+
+
+def complement_duality(max_n: int = 20) -> tuple[list[str], int, int]:
+    """Package-free checks of the duality lemma of `enumerate_type2` at
+    every n <= max_n, every jump set R of {1..n/2} (empty and full
+    included), every m | n with 1 < m < n and every t in [1, n/m - 1].
+    (a) The `edge_level_image` of the complement of R is the complement
+    of the image of R, and None exactly when that is None.  (b) When +-R
+    holds every nonzero multiple of m and the image of R is circulant, a
+    unit x of Z_n with x = 1 + t*m (mod gcd(t*m^2, n)) exists, the image
+    is x*R, and it lies in `brute_unit_orbit(n, R)`.  Returns the
+    violations, the number of images compared and the number of (b)
+    cases."""
+    bad, compared, lemma = [], 0, 0
+    for n in range(2, max_n + 1):
+        h = n // 2
+        probes = [(m, t) for m in range(2, n) if n % m == 0 for t in range(1, n // m)]
+        sets = [c for k in range(h + 1) for c in itertools.combinations(range(1, h + 1), k)]
+        images = {(c, probe): edge_level_image(n, *probe, c) for c in sets for probe in probes}
+        for (c, (m, t)), image in images.items():
+            where = f"n={n}, R={c}, m={m}, t={t}"
+            compared += 1
+            want = None if image is None else complement_jumps(n, image)
+            if images[complement_jumps(n, c), (m, t)] != want:
+                bad.append(f"the image of the complement is not the complement at {where}")
+            if image is None or any(r not in c for r in range(m, h + 1, m)):
+                continue
+            lemma += 1
+            g = gcd(t * m * m, n)
+            units = (x for x in range(1, n) if gcd(x, n) == 1 and (x - 1 - t * m) % g == 0)
+            x = next(units, None)
+            if x is None or image != tuple(sorted({reflexive_jump(n, x * r) for r in c})):
+                bad.append(f"no unit x = 1 + t*m (mod {g}) maps R onto its image at {where}")
+            elif image not in brute_unit_orbit(n, c):
+                bad.append(f"the image is outside the unit orbit at {where}")
+    return bad, compared, lemma
+
+
+def mirrored_ci_census_matches_pairwise(max_n: int = 16) -> tuple[list[str], int]:
+    """At every n <= max_n and every size k > n/2 - k, where the CI census
+    runs at the size n/2 - k and complements its orbits: its verdict rows
+    equal those of comparing every two orbit representatives of size k.
+    The orbits come from `brute_unit_orbit`; two representatives are
+    joined when `certify_isomorphism` returns a map or the oracle finds
+    them isomorphic, and the classes are those of a union-find over the
+    joins.  Returns the violations and the number of censuses checked."""
+    bad, checked = [], 0
+    for n in range(2, max_n + 1):
+        h = n // 2
+        for k in range(h // 2 + 1, h + 1):  # exactly the k > h - k
+            combos = itertools.combinations(range(1, h + 1), k)
+            orbits = sorted({tuple(sorted(brute_unit_orbit(n, c))) for c in combos})
+            reps = [ConnectionSet(n, members[0]) for members in orbits]
+            root = list(range(len(reps)))
+
+            def find(i):
+                while root[i] != i:
+                    i = root[i]
+                return i
+
+            for i, j in itertools.combinations(range(len(reps)), 2):
+                a, b = reps[i], reps[j]
+                if certify_isomorphism(a, b) is not None or are_isomorphic(
+                    build_edges(a), build_edges(b)
+                ):
+                    root[find(i)] = find(j)
+            classes = [find(i) for i in range(len(reps))]
+            want = []
+            for members, rep, cls in zip(orbits, reps, classes):
+                partners = [r for r, c in zip(reps, classes) if c == cls and r != rep]
+                want.append([list(members), not partners, partners])
+            got = [
+                [[c.jumps for c in v.orbit_members], v.ci, list(v.isomorphic_to)]
+                for v in ci_full_census(n, k)
+            ]
+            checked += 1
+            if got != want:
+                bad.append(f"the mirrored CI census differs from pairwise comparison at ({n}, {k})")
     return bad, checked
 
 

@@ -33,7 +33,7 @@ from circiso.graphs import (
 )
 from circiso.oracle import are_isomorphic
 from circiso.report import emit_census
-from circiso.theta import theta_image
+from circiso.theta import _mask_jumps, theta_image
 
 from reference_data import (
     CENSUS_48,
@@ -193,8 +193,9 @@ def test_census_parallel_matches_serial():
     # Each jump-set size is one task, and the pairs of all sizes are merged
     # after the scan, so the job count must not change them.  n = 24 (64
     # pairs) and n = 27 (72, all m = 3) have pairs at several sizes; at
-    # n = 32 two or three workers take the tagged candidates of 14 sizes
-    # and each build their own byte tables.  (24, 5, 5) has a single size,
+    # n = 32 two or three workers take the tagged candidates of the 8
+    # probed sizes 1..8 (sizes 9..16 are their mirrors) and each build
+    # their own byte tables.  (24, 5, 5) has a single size,
     # so the census runs serially whatever `jobs` is, and (16, 3, 4) asks
     # for more jobs than it has sizes.  A census of every size from 3 also
     # gives the recorded canonical bytes.
@@ -217,12 +218,14 @@ def test_census_parallel_matches_serial():
 
 @pytest.mark.parametrize(
     "size_min, size_max, jobs, workers",
-    [(3, 4, 4, 2), (3, 8, 10**6, 6), (3, 8, 2, 2), (5, 5, 8, None)],
+    [(3, 4, 4, 2), (3, 8, 10**6, 4), (3, 8, 2, 2), (5, 5, 8, None)],
 )
 def test_census_pool_never_exceeds_sizes(monkeypatch, size_min, size_max, jobs, workers):
     # The fake pool records the process count it is asked for and maps in
     # this process, so no worker starts even for a huge `jobs`; None means
-    # the census must run serially without a pool.
+    # the census must run serially without a pool.  Only the probed sizes
+    # are tasks: at n = 16, sizes 3..8 probe 1..4 (5..8 mirror 3..0), and
+    # size 5 alone probes size 3.
     import multiprocessing
 
     asked = []
@@ -244,6 +247,49 @@ def test_census_pool_never_exceeds_sizes(monkeypatch, size_min, size_max, jobs, 
     census = enumerate_type2(16, size_min, size_max, jobs=jobs)
     assert asked == ([] if workers is None else [workers])
     assert census.pairs == enumerate_type2(16, size_min, size_max).pairs
+
+
+def test_type2_census_probes_sizes_up_to_half_and_mirrors_the_rest(monkeypatch):
+    # every size 1..h at every n <= 40, h = n // 2: `_census_part` runs once
+    # for each size k <= h - k and for no other, the tables go up to the
+    # largest of them, and every size's pairs and witnesses equal those of
+    # running `_census_part` on that size directly
+    candidate_tables = classify_mod._candidate_tables
+    step_candidates = classify_mod._step_candidates
+    census_part = classify_mod._census_part
+    tops, probed, parts = [], [], []
+
+    def tables_recorder(n, moduli, top):
+        tops.append(top)
+        return candidate_tables(n, moduli, top)
+
+    def step_recorder(tables, k):
+        probed.append(k)
+        return step_candidates(tables, k)
+
+    def part_recorder(args):
+        parts.append(args[0])
+        return census_part(args)
+
+    monkeypatch.setattr(classify_mod, "_candidate_tables", tables_recorder)
+    monkeypatch.setattr(classify_mod, "_step_candidates", step_recorder)
+    monkeypatch.setattr(classify_mod, "_census_part", part_recorder)
+    for n in range(4, 41):
+        h = n // 2
+        for calls in (tops, probed, parts):
+            calls.clear()
+        census = enumerate_type2(n, 1, h, allow_small=True)
+        assert probed == list(range(1, h // 2 + 1)) and len(parts) == len(probed)
+        assert tops == [h // 2]
+        tables = candidate_tables(n, classify_mod._order_tables(n)[2], h)
+        for k in range(1, h + 1):
+            part = census_part((n, step_candidates(tables, k)))
+            direct = sorted(
+                (*sorted(tuple(_mask_jumps(v)) for v in masks), tuple(sorted(probes)))
+                for masks, probes in part.items()
+            )
+            rows = [(a.jumps, b.jumps, w) for (a, b), w in census.witnesses.items()]
+            assert [row for row in rows if len(row[0]) == k] == direct, (n, k)
 
 
 @pytest.mark.parametrize("n", sorted(CENSUS_JSON_SHA256))
@@ -601,6 +647,20 @@ def test_ci_full_census_debug_record_is_self_consistent(caplog):
     # both stages stop at the first value that sets an orbit apart
     assert rooted_keys <= 100
     assert walk_steps <= 3000 and rounds <= 320
+
+
+def test_mirrored_ci_census_says_so_in_its_debug_record(caplog):
+    # a size k > h - k runs at h - k; size h = n // 2 and the sizes up to
+    # h/2 run as asked
+    caplog.set_level(logging.DEBUG, logger="circiso.classify")
+    for n, size, source in ((16, 5, 3), (16, 4, None), (16, 8, None), (24, 9, 3), (27, 10, 3)):
+        caplog.clear()
+        verdicts = ci_full_census(n, size)
+        (record,) = [r for r in caplog.records if r.name == "circiso.classify"]
+        assert record.args["mirrored_from"] == source
+        assert f"size={size} mirrored_from={source}:" in record.getMessage()
+        assert record.args["orbits"] == len(verdicts)
+        assert {len(c.jumps) for v in verdicts for c in v.orbit_members} == {size}
 
 
 def test_ci_full_census_respects_cap():

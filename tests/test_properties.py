@@ -14,9 +14,11 @@ from suites import (
     certificates_join_type2_pairs,
     certificates_match_moves,
     classify_pair_matches_reference,
+    complement_duality,
     is_isomorphism_matches_edges,
     jump2_triple_necessity,
     least_period_decides_shifts,
+    mirrored_ci_census_matches_pairwise,
     nonunit_steps_match_edges,
     orbit_symmetry,
     packed_rounds_match_reference,
@@ -56,6 +58,21 @@ def test_shifts_with_n_dividing_t_m_squared_are_unit_multipliers_up_to_64():
     # every m | n and t in [1, n/m - 1] with n | t*m^2, at every n <= 64
     bad, checked = unit_shifts_are_unit_multipliers(64)
     assert bad == [] and checked == 122
+
+
+def test_complement_duality_at_edge_level_up_to_20():
+    # every jump set, every m | n and every t at n <= 20: shifting the
+    # complement graph gives the complement of the image, and the 1,804
+    # circulant images of sets holding every multiple of m are unit
+    # multiples x*R with x = 1 + t*m (mod gcd(t*m^2, n))
+    bad, compared, lemma = complement_duality(20)
+    assert bad == [] and (compared, lemma) == (31068, 1804)
+
+
+def test_mirrored_ci_census_matches_pairwise_comparison_up_to_18():
+    # every size k > n/2 - k at n <= 18: 45 censuses
+    bad, checked = mirrored_ci_census_matches_pairwise(18)
+    assert bad == [] and checked == 45
 
 
 def test_census_modulus_skip_matches_edge_level_up_to_20():

@@ -186,6 +186,38 @@ def test_empty_census_documents():
     assert back.pairs == ()
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        {"n": "nine", "size_min": []},
+        {"n": -5, "size_max": 100},
+        {"n": 3, "size_min": 1, "size_max": 1},
+        {"n": True},
+        {"size_max": 9},
+        {"size_min": 0},
+        {"size_min": 4, "size_max": 3},
+        {"size_min": 3.0},
+    ],
+    ids=[
+        "string-n",
+        "negative-n",
+        "order-3",
+        "bool-n",
+        "size-max-above-half",
+        "size-min-0",
+        "empty-range",
+        "float-size-min",
+    ],
+)
+def test_parse_refuses_census_headers_out_of_range(census16, header):
+    # checked before the rows: the empty n = 9 census has no row to fail,
+    # and the n = 16 census fails on its header, not on a row
+    for census in (enumerate_type2(9, 3, 4), census16):
+        doc = {**json.loads(emit_census(census, format="json")), **header}
+        with pytest.raises(ValueError, match="is not the range of a census"):
+            parse_census_json(json.dumps(doc))
+
+
 def _written(doc) -> str:
     out = io.StringIO()
     write_census_json(doc, out)
