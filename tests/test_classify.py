@@ -281,6 +281,7 @@ def test_type2_census_probes_sizes_up_to_half_and_mirrors_the_rest(monkeypatch):
         census = enumerate_type2(n, 1, h, allow_small=True)
         assert probed == list(range(1, h // 2 + 1)) and len(parts) == len(probed)
         assert tops == [h // 2]
+        rows = [(a.jumps, b.jumps, w) for (a, b), w in census.witnesses.items()]
         tables = candidate_tables(n, classify_mod._order_tables(n)[2], h)
         for k in range(1, h + 1):
             part = census_part((n, step_candidates(tables, k)))
@@ -288,7 +289,6 @@ def test_type2_census_probes_sizes_up_to_half_and_mirrors_the_rest(monkeypatch):
                 (*sorted(tuple(_mask_jumps(v)) for v in masks), tuple(sorted(probes)))
                 for masks, probes in part.items()
             )
-            rows = [(a.jumps, b.jumps, w) for (a, b), w in census.witnesses.items()]
             assert [row for row in rows if len(row[0]) == k] == direct, (n, k)
 
 
