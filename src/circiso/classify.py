@@ -285,13 +285,8 @@ def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int
     per unit x <= n/2 (1 first), mapping the jump r to the jump-mask bit
     of x*r, and `symmetric` maps r to the bits of r and n - r.  The images
     of distinct jumps are distinct bits in both (a unit permutes the
-    reflexive jumps), so a sum of lookups is their OR.  `moduli` holds,
-    for each m | n with 1 < m <= n/2 whose steps (`theta._nonunit_steps`)
-    are not empty, the triple (m, n-bit mask of the multiples of m in
-    Z_n, steps); a modulus without steps has only unit multipliers among
-    its shifts, so it never gives a Type-2 partner and is left out.  The
-    tags of `_step_candidates` index `moduli`.
-    `primes` are the prime divisors of n.
+    reflexive jumps), so a sum of lookups is their OR.  `moduli` are
+    those of `_order_moduli`, and `primes` the prime divisors of n.
     """
     h = n // 2
     products = tuple(
@@ -300,13 +295,22 @@ def _order_tables(n: int) -> tuple[tuple, Callable[[int], int], tuple, tuple[int
         if gcd(n, x) == 1
     )
     symmetric = _byte_table(h, lambda r: 1 << r | 1 << (n - r))
-    moduli = tuple(
+    return products, symmetric, _order_moduli(n), tuple(prime_divisors(n))
+
+
+@lru_cache(maxsize=8)
+def _order_moduli(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """For each m | n with 1 < m <= n/2 whose steps (`theta._nonunit_steps`)
+    are not empty, the triple (m, n-bit mask of the multiples of m in Z_n,
+    steps).  A modulus without steps has only unit multiples among its
+    circulant images, so it never gives a Type-2 partner and is left out;
+    at a cube-free n every modulus is.  The tags of `_step_candidates`
+    index these moduli."""
+    return tuple(
         (m, ((1 << n) - 1) // ((1 << m) - 1), steps)
         for m in divisors_gt1(n)
-        if m <= h and (steps := _nonunit_steps(n, m))
+        if m <= n // 2 and (steps := _nonunit_steps(n, m))
     )
-    primes = tuple(prime_divisors(n))
-    return products, symmetric, moduli, primes
 
 
 def _masks_of_size(h: int, k: int):
@@ -362,9 +366,10 @@ def _step_candidates(tables, k: int) -> dict[int, int]:
     to a size of k at least), they are the masks F | M, F a nonempty set
     of jumps that m divides and M a union of classes of e.
 
-    Proof.  p | q0 = n / gcd(n, m^2), so m | gcd(n, m^2), which divides
-    n/p = e.  A coset of <e> therefore stays in one residue class mod m,
-    and the classes partition the jumps that m does not divide.  The
+    Proof.  A step e of m is a multiple of m that divides n and is below
+    n (`theta._nonunit_steps`).  A coset of <e> therefore stays in one
+    residue class mod m, and the classes partition the jumps that m does
+    not divide.  The
     moving jumps A = {s in +-R : m does not divide s} are symmetric, and A
     is closed under +e iff it is a union of cosets of <e>, iff it is a
     union of classes.  So a mask is generated under (m, e) iff m divides a
@@ -431,12 +436,12 @@ def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
 
     Each minimum R is probed at the moduli of its tag: those m that divide a
     jump and leave A = {s in +-R : m does not divide s} closed under a step
-    n/p of m; no other m has a circulant shift that is not a unit multiplier
-    (`theta._nonunit_steps`), and a unit multiplier maps R into its own
+    of m; at no other m is a circulant shift free of the unit-shift lemma
+    (`theta._nonunit_steps`), and a unit multiple of R lies in its own
     orbit.  A tagged modulus is probed only at the t whose image is
     circulant, read off its plan (`theta._shift_plan`): the multiples of
     q = d / gcd(d, m^2), d the least period of A (`theta._least_period`,
-    whose docstring proves it).  Passing means q < q0 = n / gcd(n, m^2) <= n/m, so
+    whose docstring proves it).  Passing means q divides a free t < n/m, so
     t = q is always in range and the scan needs no range test.  Each of
     those images is built by `theta._rotate_classes`.  A circulant image S
     outside the orbit of R (which holds R, so self images are out too) is a
@@ -567,10 +572,13 @@ def enumerate_type2(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
+    moduli = _order_moduli(n)
+    if not moduli:  # no set has a partner, as at every cube-free n
+        return PairCensus(n=n, size_min=size_min, size_max=size_max, witnesses={})
     h = n // 2
     # each size k > h - k is the mirror of the size h - k; size 0 has no pair
     sizes = sorted({min(k, h - k) for k in range(size_min, size_max + 1)} - {0})
-    tables = _candidate_tables(n, _order_tables(n)[2], max(sizes, default=0))
+    tables = _candidate_tables(n, moduli, max(sizes, default=0))
     tasks = ((n, _step_candidates(tables, k)) for k in sizes)
     workers = min(jobs, len(sizes))
     if workers > 1:

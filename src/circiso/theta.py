@@ -21,9 +21,11 @@ through it the `classify` command) and the shift tables of
 `report.theta_table_rows` are built from it.  `classify.certify_isomorphism`
 builds the images of the same shifts from the plan and looks them up in
 the multiplier orbit of its target, without classifying them.
-Only the census skips the shifts that are unit multipliers
-(`_nonunit_steps`).  `tests/suites.py` checks all of
-it against the package-free edge-level definition (`edge_level_image`).
+Only the census skips shifts: those whose circulant images are unit
+multiples x*R by the unit-shift lemma (`_unit_shift`), which leaves none
+to probe at a cube-free order (`_nonunit_steps`).  `tests/suites.py`
+checks all of it against the package-free edge-level definition
+(`edge_level_image`).
 `apply_to_edges`, `jump_shortcut` (exact only for m = 2) and
 `shortcut_disagreement` have no caller in the package: they survive only
 because the benchmark under `perfbench/` traces them.
@@ -121,37 +123,52 @@ def _least_period(n: int, primes, v: int) -> int:
     return d
 
 
+def _unit_shift(n: int, m: int, t: int) -> bool:
+    """Whether every circulant image of the shift (m, t), m | n and
+    1 <= t < n/m, is a unit multiple x*R of its source, by the lemma:
+    h = gcd(t*m^2, n/m) divides t*m or t*m + 2.
+
+    Proof.  Let g = gcd(t*m^2, n), e = 1 if h | t*m and e = -1 otherwise.
+    gcd(g, n/m) = h divides 1 + t*m - e, so by the CRT some x in Z_n has
+    x = 1 + t*m (mod g) and x = e (mod n/m).  x is a unit: a prime p of n
+    divides n/m, where x = +-1 (mod p), or else m and so g, where x = 1
+    (mod p).  If the image is circulant, A = {s in +-R : m does not
+    divide s} is closed under +t*m^2 (`_least_period`), so under +g.  For
+    a = i + m*k in the class A_i of i mod m, x*a - (a + i*t*m) =
+    (x - 1 - t*m)*a + t*m^2*k lies in gZ_n, so x*A_i lies in A_i + i*t*m
+    = theta(A_i), closed under +g, and fills it, x being injective.  The
+    rest F of +-R has m | f, so x*f = e*f (mod n) and xF = eF = F =
+    theta(F).  So theta(+-R) = x(+-R).  When n | t*m^2, n/m | t*m and
+    h | t*m: theta is then multiplication by x = 1 + t*m.
+    """
+    h = gcd(t * m * m, n // m)
+    return t * m % h == 0 or (t * m + 2) % h == 0
+
+
 def _nonunit_steps(n: int, m: int) -> tuple[int, ...]:
-    """The steps n/p, one per prime p dividing q0 = n / gcd(n, m^2).
+    """The steps of m | n, largest first: the maximal elements, under
+    divisibility, of e(t) = gcd(t, q0)*g0 over the t in [1, n/m - 1] that
+    `_unit_shift` leaves free, with g0 = gcd(n, m^2) and q0 = n/g0.
 
     The moving jumps A = {s in +-R : m does not divide s} are closed under
-    +n/p for one of them iff some shift (m, t) with 1 <= t <= n/m - 1 is
-    circulant and is not a unit multiplier.  Only such a shift can carry
-    C_n(R) outside its multiplier orbit.  The tuple is empty when q0 = 1:
-    every circulant shift of m is then a unit multiplier.
+    one of them iff some free shift (m, t) is circulant; the other shifts
+    keep C_n(R) in its multiplier orbit.  The tuple is empty when no t is
+    free, as at every cube-free n, where h | t*m for every t: a prime p
+    of h not dividing m has v_p(h) <= v_p(t*m^2) = v_p(t*m), and one
+    dividing m has v_p(h) <= v_p(n/m) <= 2 - 1 <= v_p(t*m).
 
-    Lemma.  If n | t*m^2, then theta_{m,t}(x) = (1 + t*m)*x (mod n) for
-    every x, and 1 + t*m is a unit.  Proof: write x = m*floor(x/m) +
-    (x mod m).  Then (1 + t*m)*x - theta(x) = floor(x/m)*t*m^2, which n
-    divides.  theta is a bijection of Z_n, so multiplication by 1 + t*m
-    is one too, and 1 + t*m is a unit.  The image of C_n(R) is therefore
-    C_n((1 + t*m)R), which lies in the multiplier orbit of R.  Conversely,
-    if theta is multiplication by some u, then u = theta(1) = 1 + t*m and
-    m = theta(m) = u*m, so n | t*m^2: the unit multipliers among the
-    shifts are exactly the t with n | t*m^2.
-
-    The predicate.  Let d be the least period of A, g = gcd(n, m^2) and
-    q0 = n/g.  The circulant t are the multiples of q = d / gcd(d, m^2)
-    (proof in `_least_period`).  As d | n, gcd(d, m^2) = gcd(d, g), so
-    q = lcm(d, g)/g, which divides q0.  n | t*m^2 iff q0 | t, and
-    q0 <= n/m because m | g.  If q = q0, every circulant t is a unit
-    multiplier.  If q < q0, then t = q is in range, circulant and not a
-    unit multiplier.  So the predicate is q < q0, that is lcm(d, g) < n.
-    A proper divisor of n divides n/p for a prime p of n; lcm(d, g)
-    divides n/p iff g | n/p, which holds iff p | q0, and d | n/p, which
-    holds iff A is closed under +n/p (the stabiliser of A is dZ_n).
+    Proof.  Let d be the least period of A.  The circulant t are the
+    multiples of q = d / gcd(d, m^2) = lcm(d, g0)/g0 (`_least_period`; as
+    d | n, gcd(d, m^2) = gcd(d, g0)), and q | q0.  So q | t iff q divides
+    gcd(t, q0), iff lcm(d, g0) | e(t), iff d | e(t), iff A is closed under
+    +e(t), as e(t) | n and the stabiliser of A is dZ_n.  Closure under e
+    gives closure under every multiple of e, so a maximal e(t) closes A
+    when any does.  Each step e has m | e (as m | g0), e | n, and e < n:
+    q0 | t would mean n | t*m^2, which the lemma covers.
     """
-    return tuple(n // p for p in prime_divisors(n // gcd(n, m * m)))
+    g0 = gcd(n, m * m)
+    free = {gcd(t, n // g0) * g0 for t in range(1, n // m) if not _unit_shift(n, m, t)}
+    return tuple(sorted((e for e in free if all(f == e or f % e for f in free)), reverse=True))
 
 
 def _rotate_classes(n: int, shift: int, image: int, parts) -> int:

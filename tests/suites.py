@@ -337,13 +337,67 @@ def unit_shifts_are_unit_multipliers(max_n: int = 64) -> tuple[list[str], int]:
     return bad, checked
 
 
+def unit_shift_covered(n: int, m: int, t: int) -> bool:
+    """The hypothesis of the unit-shift lemma (`theta._unit_shift`),
+    restated here: h = gcd(t*m^2, n/m) divides t*m or t*m + 2."""
+    h = gcd(t * m * m, n // m)
+    return t * m % h == 0 or (t * m + 2) % h == 0
+
+
+def unit_shift_unit(n: int, m: int, t: int):
+    """The x of the lemma for a covered shift, by trying every x in Z_n:
+    x = 1 + t*m (mod gcd(t*m^2, n)) and x = e (mod n/m), with e = 1 when
+    gcd(t*m^2, n/m) divides t*m and e = -1 otherwise; None if none does."""
+    g, h = gcd(t * m * m, n), gcd(t * m * m, n // m)
+    e = 1 if t * m % h == 0 else -1
+    return next((x for x in range(n) if (x - 1 - t * m) % g == 0 and (x - e) % (n // m) == 0), None)
+
+
+def unit_shift_lemma_matches_edges(max_n: int = 20) -> tuple[list[str], int, int]:
+    """For every n <= max_n, every jump set R, every m > 1 dividing n and
+    a jump, and every t in [1, n/m - 1] that `unit_shift_covered` covers:
+    the x of `unit_shift_unit` exists and is a unit, and when the
+    `edge_level_image` is circulant it is the reduction of x*(+-R) and
+    lies in the `brute_unit_orbit` of R.  Package-free.  Returns the
+    violations, the covered probes and the circulant ones among them."""
+    bad, probes, circulant = [], 0, 0
+    for n in range(2, max_n + 1):
+        covered = [
+            (m, t, unit_shift_unit(n, m, t))
+            for m in range(2, n)
+            if n % m == 0
+            for t in range(1, n // m)
+            if unit_shift_covered(n, m, t)
+        ]
+        for m, t, x in covered:
+            if x is None or gcd(x, n) != 1:
+                bad.append(f"no unit x at n={n}, m={m}, t={t}")
+        for size in range(1, n // 2 + 1):
+            for combo in itertools.combinations(range(1, n // 2 + 1), size):
+                orbit = None
+                for m, t, x in covered:
+                    if x is None or all(r % m for r in combo):
+                        continue
+                    probes += 1
+                    image = edge_level_image(n, m, t, combo)
+                    if image is None:
+                        continue
+                    circulant += 1
+                    orbit = orbit or brute_unit_orbit(n, combo)
+                    if image != tuple(sorted({reflexive_jump(n, x * r) for r in combo})):
+                        bad.append(f"image is not x*R, x={x}, at n={n}, R={combo}, m={m}, t={t}")
+                    if image not in orbit:
+                        bad.append(f"image leaves the orbit at n={n}, R={combo}, m={m}, t={t}")
+    return bad, probes, circulant
+
+
 def nonunit_steps_match_edges(max_n: int = 20) -> tuple[list[str], int]:
     """For every n <= max_n, every jump set R and every m | n with
     1 < m < n, with A = {s in +-R : m does not divide s}: A is closed
     (`_closed_under`) under one of the steps that `_order_tables(n)` holds
     for m -- none when the table leaves m out -- iff some t in
-    [1, n/m - 1] with n not dividing t*m^2 has a circulant
-    `edge_level_image`; and every t with n | t*m^2 has a circulant image
+    [1, n/m - 1] that `unit_shift_covered` leaves free has a circulant
+    `edge_level_image`; and every covered t with a circulant image has it
     in the `brute_unit_orbit` of R.  The table's steps are also those of
     `_nonunit_steps`, with the moduli without steps left out.  Returns the
     violations and the number of (R, m) for which the test passes."""
@@ -361,17 +415,49 @@ def nonunit_steps_match_edges(max_n: int = 20) -> tuple[list[str], int]:
                     moving = bits_mask(s for s in sym if s % m)
                     passes = any(_closed_under(n, moving, e) for e in table.get(m, ()))
                     passing += passes
-                    shifts = range(1, n // m)
+                    images = {t: edge_level_image(n, m, t, combo) for t in range(1, n // m)}
                     escapes = any(
-                        edge_level_image(n, m, t, combo) is not None for t in shifts if t * m * m % n
+                        image is not None
+                        for t, image in images.items()
+                        if not unit_shift_covered(n, m, t)
                     )
                     where = f"n={n}, R={combo}, m={m}"
                     if passes != escapes:
                         bad.append(f"test says {passes}, edge level says {escapes} at {where}")
-                    for t in shifts:
-                        if t * m * m % n == 0 and edge_level_image(n, m, t, combo) not in orbit:
-                            bad.append(f"unit shift t={t} leaves the orbit at {where}")
+                    for t, image in images.items():
+                        if unit_shift_covered(n, m, t) and image is not None and image not in orbit:
+                            bad.append(f"covered shift t={t} leaves the orbit at {where}")
     return bad, passing
+
+
+def nonunit_steps_are_maximal(max_n: int = 1000) -> tuple[list[str], list[int]]:
+    """For every n <= max_n and every m | n with 1 < m < n, the steps of
+    `_nonunit_steps(n, m)` are the maximal elements, under divisibility,
+    of E = {gcd(t, q0)*g0 : t in [1, n/m - 1] free of `unit_shift_covered`},
+    g0 = gcd(n, m^2), q0 = n/g0: each is in E and divides n, is below n
+    and is a multiple of m, no step divides another, and every element of
+    E divides a step.  Returns the violations and the orders at which
+    some modulus keeps a step."""
+    bad, kept = [], []
+    for n in range(2, max_n + 1):
+        keeps = False
+        for m in range(2, n):
+            if n % m:
+                continue
+            g0 = gcd(n, m * m)
+            free = {gcd(t, n // g0) * g0 for t in range(1, n // m) if not unit_shift_covered(n, m, t)}
+            steps = _nonunit_steps(n, m)
+            keeps = keeps or bool(steps)
+            where = f"n={n}, m={m}"
+            if any(e not in free or n % e or e == n or e % m for e in steps):
+                bad.append(f"a step is not a free proper multiple of m at {where}")
+            if any(e != f and f % e == 0 for e in steps for f in steps):
+                bad.append(f"a step divides another at {where}")
+            if any(all(e % f for e in steps) for f in free):
+                bad.append(f"a free shift divides no step at {where}")
+        if keeps:
+            kept.append(n)
+    return bad, kept
 
 
 def passes_step_test(n: int, modulus, jumps) -> bool:
@@ -445,7 +531,7 @@ def step_candidates_match_edges(max_n: int = 28, max_edge_n: int = 20) -> tuple[
     whether its tables are built up to size n/2 or only up to k.
     For n <= max_edge_n, a set is generated iff
     some m > 1 dividing n and a jump has a circulant `edge_level_image` at
-    a t in [1, n/m - 1] with n not dividing t*m^2.  Returns the violations
+    a t in [1, n/m - 1] that `unit_shift_covered` leaves free.  Returns the violations
     and the number of masks generated."""
     bad, generated = [], 0
     for n in range(2, max_n + 1):
@@ -469,7 +555,7 @@ def step_candidates_match_edges(max_n: int = 28, max_edge_n: int = 20) -> tuple[
                         for m in range(2, h + 1)
                         if n % m == 0 and any(r % m == 0 for r in combo)
                         for t in range(1, n // m)
-                        if t * m * m % n
+                        if not unit_shift_covered(n, m, t)
                     )
                     if escapes != passes:
                         where = f"n={n}, R={combo}"

@@ -250,10 +250,11 @@ def test_census_pool_never_exceeds_sizes(monkeypatch, size_min, size_max, jobs, 
 
 
 def test_type2_census_probes_sizes_up_to_half_and_mirrors_the_rest(monkeypatch):
-    # every size 1..h at every n <= 40, h = n // 2: `_census_part` runs once
-    # for each size k <= h - k and for no other, the tables go up to the
-    # largest of them, and every size's pairs and witnesses equal those of
-    # running `_census_part` on that size directly
+    # every size 1..h at every n <= 40, h = n // 2: at an order with a
+    # modulus left `_census_part` runs once for each size k <= h - k and
+    # for no other, the tables go up to the largest of them, and every
+    # size's pairs and witnesses equal those of running `_census_part` on
+    # that size directly; at an order without one nothing runs
     candidate_tables = classify_mod._candidate_tables
     step_candidates = classify_mod._step_candidates
     census_part = classify_mod._census_part
@@ -279,6 +280,9 @@ def test_type2_census_probes_sizes_up_to_half_and_mirrors_the_rest(monkeypatch):
         for calls in (tops, probed, parts):
             calls.clear()
         census = enumerate_type2(n, 1, h, allow_small=True)
+        if not classify_mod._order_moduli(n):
+            assert (tops, probed, parts, census.pairs) == ([], [], [], ()), n
+            continue
         assert probed == list(range(1, h // 2 + 1)) and len(parts) == len(probed)
         assert tops == [h // 2]
         rows = [(a.jumps, b.jumps, w) for (a, b), w in census.witnesses.items()]
@@ -327,6 +331,26 @@ def test_type2_census_is_empty_at_every_ci_order():
         assert enumerate_type2(n, 1, n // 2, allow_small=True).pairs == (), n
     for n in (16, 24, 27, 32, 40):
         assert enumerate_type2(n, 1, n // 2, allow_small=True).pairs, n
+
+
+@pytest.mark.parametrize("n, size_min, size_max", [(60, 1, 30), (1050, 3, 3)])
+def test_census_without_moduli_builds_no_tables(monkeypatch, n, size_min, size_max):
+    # Both orders are cube-free, so the unit-shift lemma leaves no modulus:
+    # the census is empty and builds no byte table, no candidate table and
+    # no pool, whatever the job count.
+    import multiprocessing
+
+    def refuse(*args):
+        raise AssertionError("built or started although no modulus is left")
+
+    for name in ("_byte_table", "_candidate_tables", "_census_part"):
+        monkeypatch.setattr(classify_mod, name, refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    classify_mod._order_tables.cache_clear()
+    census = enumerate_type2(n, size_min, size_max, allow_small=True, jobs=2)
+    assert classify_mod._order_moduli(n) == ()
+    assert census.pairs == () and census.counts == {}
+    assert (census.n, census.size_min, census.size_max) == (n, size_min, size_max)
 
 
 def test_type2_pairs_exist_at_exactly_these_orders_up_to_54():

@@ -19,6 +19,7 @@ from suites import (
     jump2_triple_necessity,
     least_period_decides_shifts,
     mirrored_ci_census_matches_pairwise,
+    nonunit_steps_are_maximal,
     nonunit_steps_match_edges,
     orbit_symmetry,
     packed_rounds_match_reference,
@@ -29,6 +30,7 @@ from suites import (
     step_candidates_match_edges,
     theta_group_law,
     theta_table_matches_probes,
+    unit_shift_lemma_matches_edges,
     unit_shifts_are_unit_multipliers,
     units_commute_with_theta,
     walk_counts_match_traces,
@@ -75,20 +77,36 @@ def test_mirrored_ci_census_matches_pairwise_comparison_up_to_18():
     assert bad == [] and checked == 45
 
 
+def test_unit_shift_lemma_at_edge_level_up_to_20():
+    # every jump set, every admissible m and every t the lemma covers at
+    # n <= 20: x is a unit and every circulant image is x*R, in the orbit
+    bad, probes, circulant = unit_shift_lemma_matches_edges(20)
+    assert bad == [] and (probes, circulant) == (25522, 5460)
+
+
 def test_census_modulus_skip_matches_edge_level_up_to_20():
     # every jump set and every m | n at n <= 20: the census probes m exactly
-    # when some shift outside the unit multipliers is circulant
+    # when some shift that the unit-shift lemma leaves free is circulant
     bad, passing = nonunit_steps_match_edges(20)
-    assert bad == [] and passing == 469
+    assert bad == [] and passing == 63
+
+
+def test_census_keeps_a_modulus_exactly_at_prime_cube_orders_up_to_1000():
+    # the steps of every m | n at every n <= 1000 are the maximal free
+    # e(t); some modulus keeps one iff p^3 | n for a prime p (p <= 7 here)
+    # and n != 8
+    bad, kept = nonunit_steps_are_maximal(1000)
+    assert bad == []
+    assert kept == [n for n in range(2, 1001) if n != 8 and any(n % p**3 == 0 for p in (2, 3, 5, 7))]
 
 
 def test_census_candidates_match_the_step_test_up_to_28_and_edge_level_up_to_20():
     # every size at every n <= 28: the generated sets are those that pass
     # the census's modulus test, each tagged with exactly the moduli it
-    # passes at, and at n <= 20 those with a circulant shift that is not
-    # a unit multiplier
+    # passes at, and at n <= 20 those with a circulant shift that the
+    # unit-shift lemma leaves free
     bad, generated = step_candidates_match_edges(28, 20)
-    assert bad == [] and generated == 1947
+    assert bad == [] and generated == 684
 
 
 def test_classify_pair_matches_edge_level_reference_up_to_20():
