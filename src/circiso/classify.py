@@ -429,10 +429,9 @@ def _orbit_minima(n: int, products, masks):
         yield v, images, keys
 
 
-def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
+def _census_part(n: int, candidates: dict[int, int]) -> dict[tuple[int, int], set[Probe]]:
     """Type-2 pairs of jump masks found from the orbit minima of one size's
-    tagged step candidates (`_step_candidates`), with their witnesses
-    (picklable worker entry; args is (n, candidates)).
+    tagged step candidates (`_step_candidates`), with their witnesses.
 
     Each minimum R is probed at the moduli of its tag: those m that divide a
     jump and leave A = {s in +-R : m does not divide s} closed under a step
@@ -457,7 +456,6 @@ def _census_part(args) -> dict[tuple[int, int], set[Probe]]:
     x^j * S_1 = x^(j+1) R, circulant because the probe of R is.  So every
     S_j = x^j R lies in the orbit.
     """
-    n, candidates = args
     products, symmetric, moduli, primes = _order_tables(n)
     h = n // 2
     low_half = (1 << h) - 1
@@ -490,7 +488,6 @@ def enumerate_type2(
     size_min: int = 3,
     size_max: Optional[int] = None,
     allow_small: bool = False,
-    jobs: int = 1,
 ) -> PairCensus:
     """Exhaustive Type-2 census over all jump sets with sizes in range.
 
@@ -504,12 +501,10 @@ def enumerate_type2(
     mirror of the size h - k, probed even when it lies below size_min
     (size 0 has no pair), and its pairs are the complements of that
     size's pairs with the same witnesses (duality lemma below): both
-    jump masks XOR-ed with (1 << h) - 1.  Each probed size is one task: a
-    pool of min(jobs, number of probed sizes) worker processes probes the
-    sizes one at a time while this process generates the next ones, and
-    when that is 1 the sizes run in turn in this process.
-    Deterministic: pairs are sorted lexicographically and witnesses merged
-    across both discovery directions, independent of job count.
+    jump masks XOR-ed with (1 << h) - 1.  The probed sizes run in turn in
+    this process, each generated, probed and turned into rows before the
+    next.  Deterministic: pairs are sorted lexicographically and witnesses
+    merged across both discovery directions.
 
     Lemma.  For a unit x and any probe (m, t), theta_{m,t} maps C_n(R)
     onto a circulant C_n(S) iff it maps C_n(xR) onto a circulant, and that
@@ -569,8 +564,6 @@ def enumerate_type2(
         raise ValueError("size_min below 3 requires allow_small")
     if not 1 <= size_min <= size_max <= n // 2:
         raise ValueError(f"bad size range [{size_min}, {size_max}] for order {n}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
     moduli = _order_moduli(n)
     if not moduli:  # no set has a partner, as at every cube-free n
@@ -579,20 +572,12 @@ def enumerate_type2(
     # each size k > h - k is the mirror of the size h - k; size 0 has no pair
     sizes = sorted({min(k, h - k) for k in range(size_min, size_max + 1)} - {0})
     tables = _candidate_tables(n, moduli, max(sizes, default=0))
-    tasks = ((n, _step_candidates(tables, k)) for k in sizes)
-    workers = min(jobs, len(sizes))
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            found = list(pool.imap(_census_part, tasks))
-    else:
-        found = map(_census_part, tasks)
 
     # Both sides of a pair have its part's size, so parts share no pair.
     # Jump tuples sort in C, in the order of the ConnectionSets they name.
     rows = []
-    for k, part in zip(sizes, found):
+    for k in sizes:
+        part = _census_part(n, _step_candidates(tables, k))
         flips = [0] if size_min <= k else []
         if k < h - k <= size_max:
             flips.append((1 << h) - 1)

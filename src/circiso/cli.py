@@ -3,9 +3,9 @@
 Subcommands: reduce, orbit, theta, theta-table, classify, enumerate,
 ci-census, family, verify, scale.  Jump sets are given as comma-separated
 literals (`--set 1,2,7`) with the order supplied by `--n`; files use the
-shared `n: r1,r2,...` line format.  All output is deterministic; census
-output ordering is independent of `--jobs`.  Every refusal is a
-`ValueError`, which `main` prints as `error: ...` with exit status 2.
+shared `n: r1,r2,...` line format.  All output is deterministic.  Every
+refusal is a `ValueError`, which `main` prints as `error: ...` with exit
+status 2.
 """
 
 from __future__ import annotations
@@ -107,7 +107,6 @@ def _cmd_enumerate(args) -> int:
         size_min=args.min_size,
         size_max=args.max_size,
         allow_small=args.allow_small_sets,
-        jobs=args.jobs,
     )
     if args.confirm:
         classify_mod.confirm_with_oracle(census, cap=args.oracle_cap)
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-size", type=int, default=3)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per size")
     p.add_argument("--allow-small-sets", action="store_true")
     p.add_argument("--canonical", action="store_true", help="omit timestamps")
     p.add_argument("--confirm", action="store_true", help="oracle-check every pair")

@@ -13,6 +13,7 @@ import io
 import json
 from json.encoder import encode_basestring_ascii as _string
 from datetime import datetime, timezone
+from itertools import chain
 from typing import NamedTuple, Optional
 
 from .classify import PairCensus, circulant_records, require_admissible_m
@@ -139,13 +140,15 @@ def parse_census_json(text: str) -> PairCensus:
     """Inverse of emit_census(..., 'json'): rebuild the census object.
     A document is refused when a pair is not written left before right
     (jump lists in ascending lexicographic order, as the census orders
-    them), when a jump set's size lies outside [size_min, size_max], or
-    when "pair_count" or "counts_by_size" disagrees with its distinct
-    "pairs".  A document whose fields are missing or of the wrong JSON
-    type is refused with a ValueError too; "n", "size_min" and "size_max"
-    are checked before the rows: integers with n >= 4 and
+    them), when a jump set's size lies outside [size_min, size_max], when
+    a pair is written twice, or when "pair_count" or "counts_by_size"
+    disagrees with its "pairs".  A document whose fields are missing or of
+    the wrong JSON type is refused with a ValueError too: jumps and witness
+    entries must be integers, each witness a pair (m, t), and each
+    "oracle_confirmed" true, false or null.  "n", "size_min" and
+    "size_max" are checked before the rows: integers with n >= 4 and
     1 <= size_min <= size_max <= n // 2, as `enumerate_type2` requires.
-    The witnesses are taken as written."""
+    The witness values are taken as written."""
     try:
         doc = json.loads(text)
         if doc.get("schema_version") != SCHEMA_VERSION:
@@ -159,8 +162,16 @@ def parse_census_json(text: str) -> PairCensus:
             )
         witnesses = {}
         confirmed = {}
-        for row in doc["pairs"]:
+        rows = doc["pairs"]
+        for row in rows:
             left, right = row["left"], row["right"]
+            witness = tuple(map(tuple, row["witnesses"]))
+            flag = row.get("oracle_confirmed")
+            types = {*map(type, left), *map(type, right), *map(type, chain(*witness))}
+            if types - {int} or {*map(len, witness)} - {2}:
+                raise ValueError(f"pair {left} / {right} needs integer jumps and witnesses (m, t)")
+            if type(flag) not in (bool, type(None)):
+                raise ValueError(f"oracle_confirmed {flag!r} is not true, false or null")
             if not left < right:
                 raise ValueError(f"pair {left} / {right} is not in left-before-right order")
             if not size_min <= len(left) <= size_max or not size_min <= len(right) <= size_max:
@@ -168,9 +179,9 @@ def parse_census_json(text: str) -> PairCensus:
                     f"pair {left} / {right} has a jump set size outside [{size_min}, {size_max}]"
                 )
             pair = (ConnectionSet(n, tuple(left)), ConnectionSet(n, tuple(right)))
-            witnesses[pair] = tuple((m, t) for m, t in row["witnesses"])
-            if row.get("oracle_confirmed") is not None:
-                confirmed[pair] = row["oracle_confirmed"]
+            witnesses[pair] = witness
+            if flag is not None:
+                confirmed[pair] = flag
         census = PairCensus(
             n=n,
             size_min=size_min,
@@ -183,6 +194,8 @@ def parse_census_json(text: str) -> PairCensus:
         counts = {str(k): v for k, v in census.counts.items()}
         if doc["counts_by_size"] != counts:
             raise ValueError(f"counts_by_size {doc['counts_by_size']} but the pairs give {counts}")
+        if len(rows) != len(witnesses):
+            raise ValueError(f"{len(rows)} rows but {len(witnesses)} pairs: a pair is repeated")
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed census document: {type(exc).__name__}: {exc}") from exc
     return census

@@ -68,7 +68,7 @@ def test_criterion_2_census_24():
     t*m^2 = 12 to odd jumps, which permutes the block {3, 9, 15, 21}.  Each
     extra pair is re-checked by the package-free helpers of suites."""
     start = time.monotonic()
-    census = enumerate_type2(24, 3, 12, jobs=1)
+    census = enumerate_type2(24, 3, 12)
     elapsed = time.monotonic() - start
     got = {(l.jumps, r.jumps) for l, r in census.pairs}
     witnesses = {(l.jumps, r.jumps): w for (l, r), w in census.witnesses.items()}

@@ -189,66 +189,6 @@ def test_census_closure_and_determinism():
     assert again.witnesses == census.witnesses
 
 
-def test_census_parallel_matches_serial():
-    # Each jump-set size is one task, and the pairs of all sizes are merged
-    # after the scan, so the job count must not change them.  n = 24 (64
-    # pairs) and n = 27 (72, all m = 3) have pairs at several sizes; at
-    # n = 32 two or three workers take the tagged candidates of the 8
-    # probed sizes 1..8 (sizes 9..16 are their mirrors) and each build
-    # their own byte tables.  (24, 5, 5) has a single size,
-    # so the census runs serially whatever `jobs` is, and (16, 3, 4) asks
-    # for more jobs than it has sizes.  A census of every size from 3 also
-    # gives the recorded canonical bytes.
-    for n, size_min, size_max, jobs in (
-        (24, 3, 12, 2),
-        (27, 3, 13, 2),
-        (32, 3, 16, 2),
-        (32, 3, 16, 3),
-        (24, 5, 5, 2),
-        (16, 3, 4, 4),
-    ):
-        serial = enumerate_type2(n, size_min, size_max)
-        parallel = enumerate_type2(n, size_min, size_max, jobs=jobs)
-        assert parallel.pairs == serial.pairs
-        assert parallel.witnesses == serial.witnesses
-        if (size_min, size_max) == (3, n // 2):
-            text = emit_census(parallel, format="json", canonical=True)
-            assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_JSON_SHA256[n]
-
-
-@pytest.mark.parametrize(
-    "size_min, size_max, jobs, workers",
-    [(3, 4, 4, 2), (3, 8, 10**6, 4), (3, 8, 2, 2), (5, 5, 8, None)],
-)
-def test_census_pool_never_exceeds_sizes(monkeypatch, size_min, size_max, jobs, workers):
-    # The fake pool records the process count it is asked for and maps in
-    # this process, so no worker starts even for a huge `jobs`; None means
-    # the census must run serially without a pool.  Only the probed sizes
-    # are tasks: at n = 16, sizes 3..8 probe 1..4 (5..8 mirror 3..0), and
-    # size 5 alone probes size 3.
-    import multiprocessing
-
-    asked = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            asked.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    census = enumerate_type2(16, size_min, size_max, jobs=jobs)
-    assert asked == ([] if workers is None else [workers])
-    assert census.pairs == enumerate_type2(16, size_min, size_max).pairs
-
-
 def test_type2_census_probes_sizes_up_to_half_and_mirrors_the_rest(monkeypatch):
     # every size 1..h at every n <= 40, h = n // 2: at an order with a
     # modulus left `_census_part` runs once for each size k <= h - k and
@@ -268,9 +208,9 @@ def test_type2_census_probes_sizes_up_to_half_and_mirrors_the_rest(monkeypatch):
         probed.append(k)
         return step_candidates(tables, k)
 
-    def part_recorder(args):
-        parts.append(args[0])
-        return census_part(args)
+    def part_recorder(n, candidates):
+        parts.append(n)
+        return census_part(n, candidates)
 
     monkeypatch.setattr(classify_mod, "_candidate_tables", tables_recorder)
     monkeypatch.setattr(classify_mod, "_step_candidates", step_recorder)
@@ -288,7 +228,7 @@ def test_type2_census_probes_sizes_up_to_half_and_mirrors_the_rest(monkeypatch):
         rows = [(a.jumps, b.jumps, w) for (a, b), w in census.witnesses.items()]
         tables = candidate_tables(n, classify_mod._order_tables(n)[2], h)
         for k in range(1, h + 1):
-            part = census_part((n, step_candidates(tables, k)))
+            part = census_part(n, step_candidates(tables, k))
             direct = sorted(
                 (*sorted(tuple(_mask_jumps(v)) for v in masks), tuple(sorted(probes)))
                 for masks, probes in part.items()
@@ -337,17 +277,14 @@ def test_type2_census_is_empty_at_every_ci_order():
 def test_census_without_moduli_builds_no_tables(monkeypatch, n, size_min, size_max):
     # Both orders are cube-free, so the unit-shift lemma leaves no modulus:
     # the census is empty and builds no byte table, no candidate table and
-    # no pool, whatever the job count.
-    import multiprocessing
-
+    # probes no part.
     def refuse(*args):
-        raise AssertionError("built or started although no modulus is left")
+        raise AssertionError("built or probed although no modulus is left")
 
     for name in ("_byte_table", "_candidate_tables", "_census_part"):
         monkeypatch.setattr(classify_mod, name, refuse)
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
     classify_mod._order_tables.cache_clear()
-    census = enumerate_type2(n, size_min, size_max, allow_small=True, jobs=2)
+    census = enumerate_type2(n, size_min, size_max, allow_small=True)
     assert classify_mod._order_moduli(n) == ()
     assert census.pairs == () and census.counts == {}
     assert (census.n, census.size_min, census.size_max) == (n, size_min, size_max)

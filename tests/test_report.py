@@ -94,6 +94,10 @@ def _add_swapped_copy_of_first_pair(doc):
     doc["counts_by_size"][str(len(first["left"]))] += 1
 
 
+def _set_first_row(**fields):
+    return lambda doc: doc["pairs"][0].update(fields)
+
+
 @pytest.mark.parametrize(
     "key, tamper",
     [
@@ -101,8 +105,33 @@ def _add_swapped_copy_of_first_pair(doc):
         ("outside", lambda doc: doc.update(size_min=4)),
         ("left-before-right", _swap_first_pair),
         ("left-before-right", _add_swapped_copy_of_first_pair),
+        ("integer", _set_first_row(left=[1.0, 2.0, 7.0])),
+        ("integer", _set_first_row(left=[True, 2, 7])),
+        ("integer", _set_first_row(left="127")),
+        ("integer", _set_first_row(witnesses=["24"])),
+        ("integer", _set_first_row(witnesses=[[2.5, 1]])),
+        ("integer", _set_first_row(witnesses=[[2, 1, 3]])),
+        ("integer", _set_first_row(witnesses=[[2]])),
+        ("true, false or null", _set_first_row(oracle_confirmed="yes")),
+        ("true, false or null", _set_first_row(oracle_confirmed=1)),
+        ("repeated", lambda doc: doc["pairs"].append(doc["pairs"][0])),
     ],
-    ids=["size-max", "size-min", "right-before-left", "repeated-swap"],
+    ids=[
+        "size-max",
+        "size-min",
+        "right-before-left",
+        "repeated-swap",
+        "float-jumps",
+        "bool-jump",
+        "string-jumps",
+        "string-witness",
+        "float-witness",
+        "witness-of-three",
+        "witness-of-one",
+        "string-flag",
+        "integer-flag",
+        "repeated-row",
+    ],
 )
 def test_parse_rejects_rows_that_the_census_cannot_hold(census16, key, tamper):
     # each tampered document keeps its counts consistent with its rows
