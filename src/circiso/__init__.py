@@ -19,7 +19,6 @@ from .classify import (
     classify_pair,
     confirm_with_oracle,
     enumerate_type2,
-    type2_partners,
 )
 from .families import (
     FamilyInstance,
@@ -34,15 +33,13 @@ from .graphs import (
     ConnectionSet,
     EdgeSet,
     build_edges,
-    detect_circulant,
-    gcd_signature,
     is_isomorphism,
     parse_connection_sets,
 )
 from .modarith import DegenerateSetError, divisors_gt1, reduce_set, reflexive_reduce
 from .oracle import OracleCapError, are_isomorphic
 from .report import emit_census, parse_census_json, render_theta_table, theta_table_rows
-from .theta import ThetaMap, ThetaResult, apply_to_edges, jump_shortcut, theta_image
+from .theta import ThetaMap, ThetaResult, theta_image
 
 __all__ = [
     "AdamOrbit",
@@ -59,7 +56,6 @@ __all__ = [
     "ThetaResult",
     "adam_orbit",
     "admissible_m",
-    "apply_to_edges",
     "are_isomorphic",
     "build_edges",
     "certify_isomorphism",
@@ -67,7 +63,6 @@ __all__ = [
     "ci_theta_status",
     "classify_pair",
     "confirm_with_oracle",
-    "detect_circulant",
     "divisors_gt1",
     "emit_census",
     "enumerate_type2",
@@ -75,9 +70,7 @@ __all__ = [
     "family_m3",
     "family_m5",
     "family_m7",
-    "gcd_signature",
     "is_isomorphism",
-    "jump_shortcut",
     "parse_census_json",
     "parse_connection_sets",
     "reduce_set",
@@ -87,7 +80,6 @@ __all__ = [
     "scale_pair",
     "theta_image",
     "theta_table_rows",
-    "type2_partners",
     "verify_instance",
 ]
 

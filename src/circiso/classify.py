@@ -655,18 +655,16 @@ def ci_full_census(
     True for CI) is supplied, disagreements are reported on the verdict
     rows as anomalies -- never raised.  Orders below 2 and sizes outside
     [1, n/2] are refused.  With h = n // 2, a size with 0 < h - size <
-    size is mirrored: the census runs at the size h - size, every orbit
-    member is complemented in {1..h}, the members are re-sorted, each
-    representative is the least complement, `isomorphic_to` is rebuilt
-    from the new representatives and the anomalies are found on the
-    complemented members.  One DEBUG record on the `circiso.classify`
-    logger gives the size mirrored from (None when the census is not
-    mirrored), the orbit count, the orbits that took walk steps and
-    refinement rounds (final sizes included) and how many they took, the
-    final bucket sizes, the pairs certified by a move, the oracle calls,
-    the isomorphic pairs and the elapsed time.  The census never imports
-    `logging`: a program that has not imported it cannot have enabled
-    DEBUG, so the record is then skipped.
+    size is mirrored: the census scans the masks of size h - size and
+    decodes each orbit member from its mask XOR-ed with (1 << h) - 1, its
+    complement in {1..h}, as `enumerate_type2` does.  One DEBUG record on
+    the `circiso.classify` logger gives the size mirrored from (None when
+    the census is not mirrored), the orbit count, the orbits that took
+    walk steps and refinement rounds (final sizes included) and how many
+    they took, the final bucket sizes, the pairs certified by a move, the
+    oracle calls, the isomorphic pairs and the elapsed time.  The census
+    never imports `logging`: a program that has not imported it cannot
+    have enabled DEBUG, so the record is then skipped.
 
     Isomorphic circulants share all three invariants, so the buckets
     separate no isomorphic pair of orbits and the verdicts are those of
@@ -695,6 +693,10 @@ def ci_full_census(
     one from C_n(Rc) onto C_n(Sc), the complement graphs.  So two orbits
     are isomorphic iff their complements are, and every verdict carries
     over.  Step (b) is not needed: no residue-shift probe is involved.
+    Mirrored, the stages run on the orbit minima of size h - size, not on
+    first members; either gives the same verdicts, as the invariants are
+    orbit invariants and certification is unit-invariant by the lemma in
+    `enumerate_type2`.
 
     The first two stages only spare refinement rounds, which cost several
     times a walk step: at size 1 the component count tells every orbit
@@ -720,22 +722,27 @@ def ci_full_census(
         raise ValueError(f"order {n} exceeds the oracle cap {oracle_cap}")
     start = perf_counter()
     h = n // 2
-    source = h - size if 0 < h - size < size else size
+    flip = (1 << h) - 1 if 0 < h - size < size else 0
+    source = h - size if flip else size
     products = _order_tables(n)[0]
     # jump tuples sort in C; ConnectionSet order is (n, jumps) order, the same here
     orbit_jumps = sorted(
-        sorted(tuple(_mask_jumps(w)) for w in set(images))
-        for _, images, _ in _orbit_minima(n, products, _masks_of_size(h, source))
+        (sorted(tuple(_mask_jumps(w ^ flip)) for w in set(images)), v)
+        for v, images, _ in _orbit_minima(n, products, _masks_of_size(h, source))
     )
-    orbits = [tuple(ConnectionSet(n, jumps) for jumps in members) for members in orbit_jumps]
-    reps = [members[0] for members in orbits]
+    orbits = [tuple(ConnectionSet(n, jumps) for jumps in members) for members, _ in orbit_jumps]
+    # stage representative -> the first member, which names its orbit in the rows
+    first = {
+        ConnectionSet(n, tuple(_mask_jumps(v))) if flip else members[0]: members[0]
+        for (_, v), members in zip(orbit_jumps, orbits)
+    }
 
     by_components: dict[int, list[ConnectionSet]] = {}
-    for rep in reps:
+    for rep in first:
         by_components.setdefault(gcd(n, *rep.jumps), []).append(rep)
     by_walks, walk_steps = _split_lazily(by_components.values(), walk_counts)
     buckets, rounds = _split_lazily(by_walks, refinement_rounds)
-    iso_partners: dict[ConnectionSet, list[ConnectionSet]] = {rep: [] for rep in reps}
+    iso_partners: dict[ConnectionSet, list[ConnectionSet]] = {rep: [] for rep in first}
     certified = oracle_calls = isomorphic_pairs = 0
     for bucket in buckets:
         for a, b in itertools.combinations(bucket, 2):
@@ -746,16 +753,8 @@ def ci_full_census(
                 if not are_isomorphic(build_edges(a), build_edges(b), cap=oracle_cap):
                     continue
             isomorphic_pairs += 1
-            iso_partners[a].append(b)
-            iso_partners[b].append(a)
-    if source < size:
-        everything, mirror = set(range(1, h + 1)), {}
-        for members in orbits:
-            jumps = sorted(tuple(sorted(everything.difference(c.jumps))) for c in members)
-            mirror[members[0]] = tuple(ConnectionSet(n, j) for j in jumps)
-        orbits = sorted(mirror.values())
-        reps = [members[0] for members in orbits]
-        iso_partners = {mirror[a][0]: [mirror[b][0] for b in bs] for a, bs in iso_partners.items()}
+            iso_partners[a].append(first[b])
+            iso_partners[b].append(first[a])
     logging = sys.modules.get("logging")  # only a program that imported it can enable DEBUG
     if logging is not None:
         logging.getLogger(__name__).debug(
@@ -767,8 +766,8 @@ def ci_full_census(
             {
                 "n": n,
                 "size": size,
-                "mirrored_from": source if source < size else None,
-                "orbits": len(reps),
+                "mirrored_from": source if flip else None,
+                "orbits": len(orbits),
                 "walk_keys": sum(len(group) for group in by_components.values() if len(group) > 1),
                 "walk_steps": walk_steps,
                 "rooted_keys": sum(len(group) for group in by_walks),
@@ -782,7 +781,7 @@ def ci_full_census(
         )
 
     verdicts = []
-    for rep, members in zip(reps, orbits):
+    for rep, members in zip(first, orbits):
         ci = not iso_partners[rep]
         anomaly = None
         if expected_ci is not None:

@@ -144,13 +144,12 @@ def generate(kind: str, n: int, s: Optional[int] = None) -> FamilyInstance:
         if s is None:
             raise ValueError("the m2 family needs the second parameter s")
         return family_m2(n, s)
-    if kind == "m3":
-        return family_m3(n)
-    if kind == "m5":
-        return family_m5(n)
-    if kind == "m7":
-        return family_m7(n)
-    raise ValueError(f"unknown family kind {kind!r}")
+    generator = {"m3": family_m3, "m5": family_m5, "m7": family_m7}.get(kind)
+    if generator is None:
+        raise ValueError(f"unknown family kind {kind!r}")
+    if s is not None:
+        raise ValueError(f"the {kind} family takes no second parameter s")
+    return generator(n)
 
 
 def verify_instance(fi: FamilyInstance, oracle_cap: int = DEFAULT_CAP) -> VerificationReport:

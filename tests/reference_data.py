@@ -331,6 +331,15 @@ CI_VERDICT_SHA256 = {
     (32, 4): "9daac87d37f87c3e29f3205f72397a434bbfeb33fa47fd1e430892a4442b0803",
 }
 
+# The same digests for two mirrored censuses above n = 28, run with
+# oracle_cap=n: (40, 17) from size 3 and (48, 22) from size 2.  Recorded from
+# the census that complemented decoded members by set difference after the
+# stages had run on the size-3 and size-2 orbits.
+CI_MIRRORED_VERDICT_SHA256 = {
+    (40, 17): "5f5dcb84fea27abc422251a0bb829d05db84e98c5357e07ad546348c123ea4f5",
+    (48, 22): "c49f9a70627c7980d9d624fd44babce7f7804e12c6da39daf742d4db2ee46ed7",
+}
+
 # sha256 of the stdout of `circiso classify` and `circiso theta-table` (at the
 # family's m) for every set of family_m7(1) (n = 343), family_m5(4)
 # (n = 500) and family_m3(25) (n = 675), plus the scaled pair at n = 592,

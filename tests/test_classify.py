@@ -38,6 +38,7 @@ from circiso.theta import _mask_jumps, theta_image
 from reference_data import (
     CENSUS_48,
     CENSUS_JSON_SHA256,
+    CI_MIRRORED_VERDICT_SHA256,
     CI_VERDICT_SHA256,
     NON_CI_TRIPLES_24,
     ORBIT_TABLE_ROWS_24,
@@ -393,20 +394,30 @@ def test_ci_full_census_anomaly_reporting():
     verdicts = ci_full_census(16, 3, expected_ci=expected)
     anomalies = [v.anomaly for v in verdicts if v.anomaly]
     assert anomalies and any("(1,2,7)" in a.replace(" ", "") for a in anomalies)
+    # size 5 is mirrored from size 3: the anomaly is found on (3,4,5,6,8),
+    # the complement of (1,2,7) in {1..8}, and named by the complemented orbit
+    expected = {(3, 4, 5, 6, 8): True}  # deliberately wrong: census finds non-CI
+    verdicts = ci_full_census(16, 5, expected_ci=expected)
+    assert [v.anomaly for v in verdicts if v.anomaly] == [
+        "C_16(3,4,5,6,8): expected CI, census found non-CI"
+    ]
+    wrong = next(v for v in verdicts if v.anomaly)
+    assert [m.jumps for m in wrong.orbit_members] == [(1, 2, 4, 7, 8), (3, 4, 5, 6, 8)]
 
 
 def test_ci_full_census_verdicts_match_recorded_digests():
     # 98 censuses; the digests were recorded from the gcd-signature buckets,
-    # so a bucket key that separates an isomorphic pair of orbits fails here
+    # so a bucket key that separates an isomorphic pair of orbits fails here.
+    # The two mirrored censuses above n = 28 need an oracle cap of n.
     mismatched = []
-    for (n, size), digest in CI_VERDICT_SHA256.items():
+    for (n, size), digest in {**CI_VERDICT_SHA256, **CI_MIRRORED_VERDICT_SHA256}.items():
         rows = [
             [[m.jumps for m in v.orbit_members], v.ci, [p.jumps for p in v.isomorphic_to], v.anomaly]
-            for v in ci_full_census(n, size)
+            for v in ci_full_census(n, size, oracle_cap=max(n, 32))
         ]
         if hashlib.sha256(json.dumps(rows).encode()).hexdigest() != digest:
             mismatched.append((n, size))
-    assert len(CI_VERDICT_SHA256) == 98 and mismatched == []
+    assert len(CI_VERDICT_SHA256) == 98 and len(CI_MIRRORED_VERDICT_SHA256) == 2 and mismatched == []
 
 
 def test_ci_full_census_keys_only_orbits_that_share_a_component_count(monkeypatch):

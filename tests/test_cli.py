@@ -238,6 +238,7 @@ def test_bad_set_literal_exits_nonzero(capsys):
             ["verify", "--n", "40", "--left", "1,2", "--right", "3,6"],
             "order 40 exceeds the exact-search cap 32",
         ),
+        (["family", "--kind", "m3", "--n", "1", "--s", "7"], "the m3 family takes no second parameter s"),
     ],
 )
 def test_refusals_exit_two_with_one_error_line(capsys, argv, message):
