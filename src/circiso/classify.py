@@ -224,13 +224,7 @@ def type2_partners(
     c: ConnectionSet, allow_small: bool = False
 ) -> list[tuple[ConnectionSet, int, int]]:
     """All (S, m, t) with a type2 verdict, every witness included, sorted."""
-    return _type2_evidence(probe_records(c, allow_small=allow_small))
-
-
-def _type2_evidence(records) -> list[tuple[ConnectionSet, int, int]]:
-    out = [(rec.image, rec.m, rec.t) for rec in records if rec.kind == "type2"]
-    out.sort(key=lambda item: (item[0].jumps, item[1], item[2]))
-    return out
+    return list(ci_status_of_records(probe_records(c, allow_small=allow_small)).evidence)
 
 
 def ci_theta_status(c: ConnectionSet, allow_small: bool = False) -> CIStatus:
@@ -244,9 +238,9 @@ def ci_theta_status(c: ConnectionSet, allow_small: bool = False) -> CIStatus:
 
 def ci_status_of_records(records) -> CIStatus:
     """The `ci_theta_status` verdict from already computed probe records."""
-    partners = _type2_evidence(records)
+    partners = tuple(sorted((rec.image, rec.m, rec.t) for rec in records if rec.kind == "type2"))
     if partners:
-        return CIStatus(verdict="non-ci", evidence=tuple(partners))
+        return CIStatus(verdict="non-ci", evidence=partners)
     return CIStatus(verdict="ci-theta")
 
 
@@ -255,14 +249,15 @@ def _byte_table(h: int, bits: Callable[[int], int]) -> Callable[[int], int]:
     (`_byte_keys`) to the OR of bits(r) over the jumps r = 8c + j + 1,
     r <= h, whose bit j is set in the byte b.  When the bits of distinct
     jumps are disjoint, the image of a whole mask is the sum over its byte
-    keys."""
+    keys.  A chunk doubles once per bit j: entry i + 2^j (i < 2^j) is
+    entry i with bits(8c + j + 1) added, so the bytes i and i + 2^j differ
+    by exactly that one jump."""
     table: list[int] = []
     for start in range(0, h, 8):
         chunk = [0]
-        for b in range(1, 256):
-            low = b & -b
-            r = start + low.bit_length()
-            chunk.append(chunk[b ^ low] | (bits(r) if r <= h else 0))
+        for r in range(start + 1, start + 9):
+            bit = bits(r) if r <= h else 0
+            chunk += [c | bit for c in chunk]
         table += chunk
     return table.__getitem__
 

@@ -3,9 +3,9 @@
 Subcommands: reduce, orbit, theta, theta-table, classify, enumerate,
 ci-census, family, verify, scale.  Jump sets are given as comma-separated
 literals (`--set 1,2,7`) with the order supplied by `--n`; files use the
-shared `n: r1,r2,...` line format.  All output is deterministic.  Every
-refusal is a `ValueError`, which `main` prints as `error: ...` with exit
-status 2.
+shared `n: r1,r2,...` line format.  Output is deterministic except the
+`generated_at` stamp of `enumerate --format json` without `--canonical`.
+Every refusal is a `ValueError`, which `main` prints as `error: ...` (exit 2).
 """
 
 from __future__ import annotations
@@ -110,10 +110,7 @@ def _cmd_enumerate(args) -> int:
     )
     if args.confirm:
         classify_mod.confirm_with_oracle(census, cap=args.oracle_cap)
-    if args.format == "json":  # streamed, never held whole
-        report.write_census_json(report.census_document(census, args.canonical), sys.stdout)
-    else:
-        print(report.emit_census(census, format=args.format, canonical=args.canonical), end="")
+    report.write_census(census, sys.stdout, args.format, args.canonical)
     return 0
 
 

@@ -1,5 +1,6 @@
 """Serialization of censuses and text rendering of shift tables.
 
+`write_census` streams a census as json, csv or text, one pair at a time.
 The JSON document is schema-versioned and byte-deterministic in canonical
 mode (sorted keys, no timestamp) so golden-file tests can assert exact
 output.  CSV puts one pair per row; text mode mirrors the numbered-list
@@ -30,17 +31,15 @@ def _jumps_str(c: ConnectionSet) -> str:
 def census_document(census: PairCensus, canonical: bool = False) -> dict:
     """The census as a plain JSON-ready dict (schema_version 1).  The
     "diagnostics" list of the schema is always empty."""
+    confirmed = census.oracle_confirmed or {}
     pairs = []
-    for (left, right), probes in census.witnesses.items():
-        confirmed = None
-        if census.oracle_confirmed is not None:
-            confirmed = census.oracle_confirmed.get((left, right))
+    for pair, probes in census.witnesses.items():
         pairs.append(
             {
-                "left": list(left.jumps),
-                "right": list(right.jumps),
+                "left": list(pair[0].jumps),
+                "right": list(pair[1].jumps),
                 "witnesses": [[m, t] for m, t in probes],
-                "oracle_confirmed": confirmed,
+                "oracle_confirmed": confirmed.get(pair),
             }
         )
     doc = {
@@ -95,45 +94,41 @@ def write_census_json(doc: dict, out) -> None:
     out.write("\n}" if doc else "{}")
 
 
-def emit_census(census: PairCensus, format: str = "json", canonical: bool = False) -> str:
-    """Render a census as json, csv, or text."""
+def write_census(census: PairCensus, out, format: str = "json", canonical: bool = False) -> None:
+    """Write a census to the text stream `out` as json, csv or text, one
+    pair at a time.  Every format reads a pair's oracle flag the same way:
+    a pair without a verdict (an unconfirmed census, or a pair its verdicts
+    leave out) is null in JSON, an empty cell in CSV and unmarked in text.
+    An unknown format is refused before anything is written."""
     if format == "json":
-        buf = io.StringIO()
-        write_census_json(census_document(census, canonical=canonical), buf)
-        return buf.getvalue()
+        write_census_json(census_document(census, canonical), out)
+        return
+    if format not in ("csv", "text"):
+        raise ValueError(f"unknown format {format!r}")
+    confirmed = census.oracle_confirmed or {}
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        flags = {True: "true", False: "false", None: ""}
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for (left, right), probes in census.witnesses.items():
-            confirmed = ""
-            if census.oracle_confirmed is not None:
-                confirmed = str(census.oracle_confirmed.get((left, right), "")).lower()
-            writer.writerow(
-                [
-                    census.n,
-                    _jumps_str(left),
-                    _jumps_str(right),
-                    ";".join(str(m) for m in sorted({m for m, _ in probes})),
-                    ";".join(str(t) for t in sorted({t for _, t in probes})),
-                    confirmed,
-                ]
-            )
-        return buf.getvalue()
-    if format == "text":
-        lines = [
-            f"Type-2 pairs of order {census.n} "
-            f"(set sizes {census.size_min}..{census.size_max}): {len(census.witnesses)}"
-        ]
-        for idx, ((left, right), probes) in enumerate(census.witnesses.items(), start=1):
-            witness_str = ", ".join(f"m={m},t={t}" for m, t in probes)
-            suffix = ""
-            if census.oracle_confirmed is not None:
-                verdict = census.oracle_confirmed.get((left, right))
-                suffix = "  [oracle ok]" if verdict else "  [ORACLE MISMATCH]"
-            lines.append(f"({idx}) {left}, {right}  [{witness_str}]{suffix}")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown format {format!r}")
+        for pair, probes in census.witnesses.items():
+            ms = ";".join(str(m) for m in sorted({m for m, _ in probes}))
+            ts = ";".join(str(t) for t in sorted({t for _, t in probes}))
+            flag = flags[confirmed.get(pair)]
+            writer.writerow([census.n, _jumps_str(pair[0]), _jumps_str(pair[1]), ms, ts, flag])
+        return
+    flags = {True: "  [oracle ok]", False: "  [ORACLE MISMATCH]", None: ""}
+    sizes = f"{census.size_min}..{census.size_max}"
+    out.write(f"Type-2 pairs of order {census.n} (set sizes {sizes}): {len(census.witnesses)}\n")
+    for idx, (pair, probes) in enumerate(census.witnesses.items(), start=1):
+        witness_str = ", ".join(f"m={m},t={t}" for m, t in probes)
+        out.write(f"({idx}) {pair[0]}, {pair[1]}  [{witness_str}]{flags[confirmed.get(pair)]}\n")
+
+
+def emit_census(census: PairCensus, format: str = "json", canonical: bool = False) -> str:
+    """The census as one string, as `write_census` writes it."""
+    buf = io.StringIO()
+    write_census(census, buf, format, canonical)
+    return buf.getvalue()
 
 
 def parse_census_json(text: str) -> PairCensus:

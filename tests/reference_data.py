@@ -208,6 +208,22 @@ CENSUS_JSON_SHA256 = {
     40: "3f85e46fe1c7457098b97b867534576448b0dabf4307693120fea5d3a87e937a",
 }
 
+# sha256 of the stdout of `circiso enumerate ... --canonical` in csv and text
+# at n = 24, 32 and 40, and in all three formats with `--confirm` at n = 16
+# (every pair confirmed), recorded from the CLI that streamed JSON and built
+# csv and text as one string before printing it.
+CENSUS_STDOUT_SHA256 = {
+    ('enumerate', '--n', '24', '--format', 'csv', '--canonical'): "c9c2d16d37f502cbfefe3d3cdb650f46bdfb08db6d9a34a1717372599ad76726",
+    ('enumerate', '--n', '24', '--format', 'text', '--canonical'): "9ed5e8e8c81820ca40b18299a2beafab60ffbbc7078726970a5f99b1a3df61af",
+    ('enumerate', '--n', '32', '--format', 'csv', '--canonical'): "ff15575840729e259da5afbf20d04f95bbffec35739848c36dad5e60e8a98a5a",
+    ('enumerate', '--n', '32', '--format', 'text', '--canonical'): "4779e40d12ca232b3b8ad8ebf2f85c9b56c9f758b509d41aa3d96caac5a7110a",
+    ('enumerate', '--n', '40', '--format', 'csv', '--canonical'): "bb7f7006baaebbd087c19edfd62e76756a91cd92dabcd2c1408e94ccc1da88b3",
+    ('enumerate', '--n', '40', '--format', 'text', '--canonical'): "9fe74393d4a309db5f2f93a49f721f4e503f31a897e5ce7c095a3b1b53d4f3f9",
+    ('enumerate', '--n', '16', '--format', 'json', '--canonical', '--confirm'): "f210472a85470ce77511d4099aa13386dbce114b99fa73dcc448a2d3415d20a2",
+    ('enumerate', '--n', '16', '--format', 'csv', '--canonical', '--confirm'): "641bf0831ea4357b6b97743715d29d24c71f4cc7b29035ddf7c6e8acc8bd2450",
+    ('enumerate', '--n', '16', '--format', 'text', '--canonical', '--confirm'): "ec630f1520a9702108e5fb7da36de8602fdcc4f47900e725c98d1f4995c82764",
+}
+
 # The order-48 census (sizes 3..24), recorded from the census that scanned
 # every jump mask for orbit minima.  Its canonical JSON digest there was
 # 176909c9b4cb38e414f377b4928f06b152da3f5db57f014db030f82c0d6c862f, but

@@ -6,6 +6,7 @@ property holds over its whole stated range.
 from __future__ import annotations
 
 import itertools
+import random
 from math import gcd
 
 from circiso import (
@@ -520,6 +521,29 @@ def byte_tables_match_units(max_n: int = 24) -> list[str]:
             scan = _orbit_minima(n, products, sorted(_step_candidates(tables, k)))
             if {(v, frozenset(images)) for v, images, _ in scan} != passing[k]:
                 bad.append(f"orbit minima of the size-{k} candidates differ at n={n}")
+    return bad
+
+
+def byte_tables_match_random_masks(n: int = 150, count: int = 200, seed: int = 150) -> list[str]:
+    """The byte tables of `_order_tables(n)` at an order whose h = n/2
+    jumps span several byte chunks: for `count` seeded random jump masks,
+    plus the full mask and the mask of jump h alone, every unit x <= n/2
+    gives the mask of x*R taken jump by jump with `reflexive_jump`, and
+    the symmetric table gives the mask of +-R."""
+    h = n // 2
+    products, symmetric = _order_tables(n)[:2]
+    units = [x for x in range(1, h + 1) if gcd(x, n) == 1]
+    rng = random.Random(seed)
+    masks = [rng.getrandbits(h) for _ in range(count)] + [(1 << h) - 1, 1 << (h - 1)]
+    bad = []
+    for v in masks:
+        jumps = [r for r in range(1, h + 1) if v >> (r - 1) & 1]
+        keys = _byte_keys(v, h)
+        for x, product in zip(units, products):
+            if sum(map(product, keys)) != bits_mask(reflexive_jump(n, x * r) - 1 for r in jumps):
+                bad.append(f"unit {x} table differs at n={n}, R={tuple(jumps)}")
+        if sum(map(symmetric, keys)) != bits_mask([*jumps, *(n - r for r in jumps)]):
+            bad.append(f"symmetric table differs at n={n}, R={tuple(jumps)}")
     return bad
 
 

@@ -11,7 +11,7 @@ import pytest
 from circiso import cli, emit_census, enumerate_type2
 from circiso.cli import main
 from circiso.oracle import are_isomorphic
-from reference_data import CLI_STDOUT_SHA256
+from reference_data import CENSUS_STDOUT_SHA256, CLI_STDOUT_SHA256
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +123,13 @@ def test_enumerate_csv_with_confirm(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["n", "left", "right", "m_witnesses", "t_witnesses", "oracle_confirmed"]
     assert all(row[5] == "true" for row in rows[1:])
+
+
+@pytest.mark.parametrize("argv", list(CENSUS_STDOUT_SHA256), ids=" ".join)
+def test_enumerate_prints_pinned_bytes_in_every_format(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_STDOUT_SHA256[argv]
 
 
 def test_enumerate_small_sets_need_flag(capsys):

@@ -10,6 +10,7 @@ from circiso.oracle import are_isomorphic
 from reference_data import CI_VERDICT_SHA256
 from suites import (
     adam_orbit_matches_brute,
+    byte_tables_match_random_masks,
     byte_tables_match_units,
     certificates_join_type2_pairs,
     certificates_match_moves,
@@ -124,6 +125,11 @@ def test_adam_orbit_matches_brute_force_up_to_24():
 
 def test_byte_tables_and_orbit_minima_up_to_24():
     assert byte_tables_match_units(24) == []
+
+
+def test_byte_tables_at_a_multi_chunk_order_match_reflexive_multiplication():
+    # n = 150: 75 jumps in 10 byte chunks, the last holding only 3
+    assert byte_tables_match_random_masks(150, 200, 150) == []
 
 
 def test_units_commute_with_theta_up_to_20():

@@ -14,6 +14,7 @@ from circiso.report import (
     parse_census_json,
     render_theta_table,
     theta_table_rows,
+    write_census,
     write_census_json,
 )
 
@@ -205,6 +206,22 @@ def test_text_mode(census16):
     assert "C_16(1,2,7), C_16(2,3,5)" in text
 
 
+def test_a_pair_without_a_verdict_reads_alike_in_json_csv_and_text():
+    # a confirmed document with one flag made null and one false, read back:
+    # the null pair has no verdict, which is null in JSON, an empty cell in
+    # CSV and no suffix in text
+    doc = json.loads(emit_census(confirm_with_oracle(enumerate_type2(16, 3, 8)), format="json"))
+    doc["pairs"][0]["oracle_confirmed"] = None
+    doc["pairs"][1]["oracle_confirmed"] = False
+    census = parse_census_json(json.dumps(doc))
+    flags = [row["oracle_confirmed"] for row in json.loads(emit_census(census, "json"))["pairs"]]
+    cells = [row[-1] for row in csv.reader(io.StringIO(emit_census(census, "csv")))]
+    suffixes = [line.partition("]")[2] for line in emit_census(census, "text").splitlines()]
+    assert flags == [None, False] + [True] * 6
+    assert cells == ["oracle_confirmed", "", "false"] + ["true"] * 6
+    assert suffixes == ["", "", "  [ORACLE MISMATCH]"] + ["  [oracle ok]"] * 6
+
+
 def test_empty_census_documents():
     census = enumerate_type2(9, 3, 4)
     assert census.pairs == ()
@@ -284,6 +301,13 @@ def test_direct_writer_matches_json_dumps_on_flags_timestamps_diagnostics_and_ex
 def test_unknown_format_rejected(census16):
     with pytest.raises(ValueError):
         emit_census(census16, format="yaml")
+
+
+def test_unknown_format_is_refused_before_anything_is_written(census16):
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="unknown format 'yaml'"):
+        write_census(census16, out, format="yaml")
+    assert out.getvalue() == ""
 
 
 @pytest.mark.parametrize("jumps", sorted(THETA_TABLES_24))
