@@ -301,10 +301,7 @@ def test_direct_writer_matches_json_dumps_on_flags_timestamps_diagnostics_and_ex
 def test_unknown_format_rejected(census16):
     with pytest.raises(ValueError):
         emit_census(census16, format="yaml")
-
-
-def test_unknown_format_is_refused_before_anything_is_written(census16):
-    out = io.StringIO()
+    out = io.StringIO()  # refused before anything is written
     with pytest.raises(ValueError, match="unknown format 'yaml'"):
         write_census(census16, out, format="yaml")
     assert out.getvalue() == ""
